@@ -77,7 +77,7 @@ def test_spilled_q1_q9_bit_identical(q, stored_db):
                 f"q{q}.{col} not bit-identical under spill"
         else:
             assert list(a) == list(b), col
-    trace = stored_db.explain(sql, config=spill_cfg)
+    trace = stored_db.explain_analyze(sql, spill_cfg)
     events = [ln.strip() for ln in trace.splitlines() if "spill:" in ln]
     assert events, f"q{q} never spilled under budget {LOW_BUDGET}"
     save_series(f"storage_spill_q{q}",

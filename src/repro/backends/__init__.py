@@ -6,7 +6,7 @@ Registered unconditionally:
 * ``native`` — the in-process NumPy engine, plain profile;
 * ``duckdb``/``hyper``/``lingodb`` — *simulated* system profiles over the
   native engine (PyTond's "Backend Adaptation", Section III-E), used by
-  the paper-figure harness;
+  the paper-figure harness.  All four are presets in :mod:`.presets`;
 * ``sqlite`` — the stdlib sqlite3 engine as an independent oracle.
 
 Registered when the optional dependency is importable:
@@ -32,10 +32,7 @@ from .base import (
     rewrite_sql,
 )
 from .duckdb_real import DuckDBBackend, duckdb_available
-from .duckdb_sim import DuckDBSim
-from .hyper_sim import HyperSim
-from .lingodb_sim import LingoDBSim
-from .native import NativeBackend
+from .presets import DuckDBSim, HyperSim, LingoDBSim, NativeBackend
 from .sqlite import SQLITE_DIALECT, SqliteBackend, load_sqlite, to_sqlite_sql
 
 __all__ = [

@@ -70,8 +70,6 @@ class Dialect:
     strftime_function: str = "STRFTIME({arg}, {fmt})"
     # How to spell a date literal ({lit} is the quoted ISO string).
     date_literal: str = "DATE {lit}"
-    # Whether the dialect supports the ROW_NUMBER window function.
-    supports_window: bool = True
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ Backends return results as plain Python row tuples (:class:`~.base.
 ResultTable`); cross-backend comparison needs those rows in a canonical
 form — NaN/NaT folded to SQL NULL, numpy scalars unwrapped, bools widened
 to ints, rows sorted under a total order that tolerates float noise.  This
-module is the single home of that logic (``bench.differential`` re-exports
-it for its callers), so the differential harness, the fuzzer, and the
-backend registry all agree on what "the same result" means.
+module is the single home of that logic, so the differential harness,
+the fuzzer, and the backend registry all agree on what "the same result" means.
 """
 
 from __future__ import annotations

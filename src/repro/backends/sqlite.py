@@ -45,7 +45,6 @@ SQLITE_DIALECT = Dialect(
     substring_function="SUBSTR({arg}, {start}, {length})",
     strftime_function="STRFTIME({fmt}, {arg})",  # format FIRST in sqlite
     date_literal="{lit}",                        # bare ISO strings compare fine
-    supports_window=True,
 )
 
 

@@ -6,14 +6,13 @@ rewrites, and the row-normalization helpers.  Those now live in
 a first-class registered backend, and the rewrites are derived from its
 :class:`~repro.backends.Dialect` template so there is a single source of
 truth for e.g. STRFTIME argument order.  This module keeps the
-test-friendly assertion helpers and re-exports the moved names for
-compatibility.
+test-friendly assertion helpers.
 
 Two entry points:
 
 * :func:`assert_same_results` — the original connection-based API: caller
-  owns a sqlite3 connection (from :func:`load_sqlite`) and we compare
-  against it.
+  owns a sqlite3 connection (from :func:`repro.backends.load_sqlite`) and
+  we compare against it.
 * :func:`assert_matches_backend` — the registry path: name any registered
   oracle backend (``sqlite``, ``duckdb_real``) and the comparison runs
   through its ``compile``/``execute`` Protocol methods, including mirror
@@ -24,17 +23,12 @@ from __future__ import annotations
 
 import sqlite3
 
-from ..backends import get_backend, load_sqlite, to_sqlite_sql
-from ..backends.rows import (  # noqa: F401 - _to_python is a compat re-export
-    chunk_rows,
-    normalize_rows,
-    rows_equal,
-    to_python_cell as _to_python,
-)
+from ..backends import get_backend, to_sqlite_sql
+from ..backends.rows import chunk_rows, normalize_rows, rows_equal
 from ..sqlengine import Database
 
-__all__ = ["load_sqlite", "to_sqlite_sql", "run_differential", "rows_equal",
-           "normalize_rows", "assert_same_results", "assert_matches_backend"]
+__all__ = ["run_differential", "rows_equal", "normalize_rows",
+           "assert_same_results", "assert_matches_backend"]
 
 
 def run_differential(db: Database, conn: sqlite3.Connection, sql: str,

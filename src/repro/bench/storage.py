@@ -116,7 +116,7 @@ def storage_report(sf: float = 0.005, chunk_rows: int = 4096,
     spill_cfg = EngineConfig(memory_budget=budget)
     spilled = normalize_rows(_rows_of(db.execute_chunk(q1, spill_cfg)))
     ok, why = rows_equal(base, spilled)
-    trace = db.explain(q1, config=spill_cfg)
+    trace = db.explain_analyze(q1, spill_cfg)
     events = [ln.strip() for ln in trace.splitlines() if "spill:" in ln]
     report["spill"] = {"query": "tpch_q1", "matches_in_memory": ok,
                        "events": events}

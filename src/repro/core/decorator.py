@@ -188,7 +188,7 @@ class PytondFunction:
         backend_obj = get_backend(backend) if isinstance(backend, str) else backend
         sql = self.sql(backend_obj, level, db)
         if isinstance(backend_obj, Backend):
-            return db.explain(sql, config=backend_obj.config(threads=threads))
+            return db.explain_analyze(sql, backend_obj.config(threads=threads))
         explain = getattr(backend_obj, "explain", None)
         if explain is None:
             raise BackendError(

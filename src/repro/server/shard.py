@@ -514,8 +514,7 @@ def _shard_worker_run(task: dict):
             }
             _WORKER_PLANS[cache_key] = entry
         bound = bind_parameters(entry["signature"], task["params"])
-        executor = Executor(db.catalog, config, plans=entry["plans"],
-                            params=bound)
+        executor = Executor(db.catalog, config, entry["plans"], params=bound)
         chunk = executor.execute(entry["query"])
         return ("ok", list(chunk.columns),
                 [np.asarray(arr) for arr in chunk.arrays])
@@ -746,9 +745,9 @@ class _ShardPreparedStatement(PreparedStatement):
     the normal compiled-plan fast path otherwise."""
 
     def execute_chunk(self, params=None, *, cancel_event=None,
-                      deadline=None, trace=None, stats=None):
+                      deadline=None, stats=None):
         cfg = self._config
-        if cfg.shard_workers > 0 and trace is None:
+        if cfg.shard_workers > 0:
             shard_q = self._db._shard_recipe(self.sql, cfg)
             if shard_q is not None:
                 return self._db.execute_chunk(
@@ -756,8 +755,7 @@ class _ShardPreparedStatement(PreparedStatement):
                     deadline=deadline, stats=stats,
                 )
         return super().execute_chunk(params, cancel_event=cancel_event,
-                                     deadline=deadline, trace=trace,
-                                     stats=stats)
+                                     deadline=deadline, stats=stats)
 
 
 class ShardedDatabase(Database):
@@ -816,8 +814,7 @@ class ShardedDatabase(Database):
             if key in self._recipes:
                 return self._recipes[key]
         try:
-            entry = self._plan_entry(sql, cfg)
-            query = entry.query if entry is not None else parse(sql)
+            query = self._plan_entry(sql, cfg).query
             recipe = analyze_shard_query(query, self._stored)
         except ReproError:
             recipe = None  # let the serial path raise the real error

@@ -9,7 +9,8 @@ a bounded, lock-protected LRU keyed by *query shape* — the SQL text (with
 never by bound parameter values, so every execution of a prepared statement
 reuses one compiled plan.  Each ``execute`` call gets its own
 :class:`~.executor.Executor`, so runtime state (bound parameters,
-cancellation, tracing) is never shared across concurrent queries.
+cancellation, runtime statistics) is never shared across concurrent
+queries.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -97,19 +98,17 @@ class Database:
 
         Keying on a *subset* of planning flags was a latent bug: two
         backend configs agreeing on that subset (e.g. profiles differing
-        only in execution mode or window support) would share one cache
-        entry, so the second backend executed a plan compiled for the
-        first — see :meth:`EngineConfig.plan_fingerprint`.
+        only in window support) would share one cache entry, so the second
+        backend executed a plan compiled for the first — see
+        :meth:`EngineConfig.plan_fingerprint`.
         """
         return (sql, config.plan_fingerprint())
 
-    def _plan_entry(self, sql: str, config: EngineConfig) -> Optional[PlanCacheEntry]:
-        """The cache entry for (sql, planning-relevant config), if caching
-        is enabled.  Stale entries (catalog changed) are rebuilt; the cache
-        is a bounded LRU (``EngineConfig.plan_cache_size`` on the
-        Database's own config) and safe for concurrent callers."""
-        if not config.plan_cache:
-            return None
+    def _plan_entry(self, sql: str, config: EngineConfig) -> PlanCacheEntry:
+        """The cache entry for (sql, planning-relevant config).  Stale
+        entries (catalog changed) are rebuilt; the cache is a bounded LRU
+        (``EngineConfig.plan_cache_size`` on the Database's own config) and
+        safe for concurrent callers."""
         key = self._cache_key(sql, config)
         version = self.catalog.version
         with self._cache_lock:
@@ -153,11 +152,6 @@ class Database:
                 "evictions": self._cache_evictions,
             }
 
-    @property
-    def plan_cache_stats(self) -> dict[str, int]:
-        stats = self.cache_stats()
-        return {"entries": stats["entries"], "hits": stats["hits"]}
-
     def clear_plan_cache(self) -> None:
         with self._cache_lock:
             self._plan_cache.clear()
@@ -176,45 +170,20 @@ class Database:
                       deadline: float | None = None, stats=None) -> Chunk:
         cfg = config or self.config
         entry = self._plan_entry(sql, cfg)
-        if entry is None:
-            query = parse(sql)
-            bound = bind_parameters(signature_of(query), params)
-            executor = Executor(self.catalog, cfg, params=bound,
-                                cancel_event=cancel_event, deadline=deadline,
-                                stats=stats)
-            return executor.execute(query)
         bound = bind_parameters(entry.signature, params)
-        executor = Executor(self.catalog, cfg, plans=entry.plans, params=bound,
+        executor = Executor(self.catalog, cfg, entry.plans, params=bound,
                             cancel_event=cancel_event, deadline=deadline,
                             stats=stats)
         return executor.execute(entry.query)
 
-    def explain(self, sql: str, config: EngineConfig | None = None,
-                params=None) -> str:
-        """EXPLAIN ANALYZE: execute the query, returning the physical plan
-        trace (scans with pushed-down filters, join order and cardinalities,
-        aggregation, sort/limit) instead of the result."""
-        cfg = config or self.config
-        entry = self._plan_entry(sql, cfg)
-        trace: list[str] = []
-        if entry is None:
-            query = parse(sql)
-            bound = bind_parameters(signature_of(query), params)
-        else:
-            query = entry.query
-            bound = bind_parameters(entry.signature, params)
-        executor = Executor(self.catalog, cfg, trace=trace,
-                            plans=entry.plans if entry else None, params=bound)
-        executor.execute(query)
-        return "\n".join(trace)
-
     def explain_analyze(self, sql: str, config: EngineConfig | None = None,
                         params=None) -> str:
-        """EXPLAIN ANALYZE with runtime statistics: execute the query and
-        render the executed plan tree annotated with per-operator estimated
-        vs. actual row counts, inclusive elapsed milliseconds, and any
-        adaptive-execution events (re-plans, build-side swaps, morsel
-        re-tuning, subquery short-circuits)."""
+        """EXPLAIN ANALYZE: execute the query and render the executed plan
+        tree annotated with per-operator estimated vs. actual row counts and
+        inclusive elapsed milliseconds, then the execution trace (pushed-down
+        filters, join and set-op cardinalities, aggregation, spills, CTE
+        materialization, plan-cache hits) and any adaptive-execution events
+        (re-plans, build-side swaps, subquery short-circuits)."""
         from .runtime_stats import RuntimeStats
 
         stats = RuntimeStats()
@@ -279,18 +248,6 @@ class Database:
                 params=None) -> DataFrame:
         return self._chunk_to_frame(self.execute_chunk(sql, config, params))
 
-    def with_config(self, **overrides) -> "Database":
-        """A view of the same catalog under a different engine config."""
-        from dataclasses import replace
-
-        other = Database.__new__(Database)
-        other.catalog = self.catalog
-        other.config = replace(self.config, **overrides)
-        other._plan_cache = OrderedDict()
-        other._cache_lock = threading.Lock()
-        other._cache_hits = other._cache_misses = other._cache_evictions = 0
-        return other
-
 
 class PreparedStatement:
     """A parsed-and-planned statement executable many times with different
@@ -312,12 +269,7 @@ class PreparedStatement:
         self._db = db
         self.sql = sql
         self._config = config
-        entry = db._plan_entry(sql, config)
-        if entry is None:  # plan_cache disabled: private plan-once entry
-            query = parse(sql)
-            entry = PlanCacheEntry(query, catalog_version=db.catalog.version,
-                                   signature=signature_of(query))
-        self._entry = entry
+        self._entry = db._plan_entry(sql, config)
         self._refresh_lock = threading.Lock()
 
     @property
@@ -330,28 +282,21 @@ class PreparedStatement:
         if entry.catalog_version == self._db.catalog.version:
             return entry
         # DDL happened since compilation: re-resolve through the Database
-        # cache (which rebuilds stale entries) or rebuild the private entry.
+        # cache, which rebuilds stale entries.
         with self._refresh_lock:
             entry = self._entry
             if entry.catalog_version == self._db.catalog.version:
                 return entry
-            fresh = self._db._plan_entry(self.sql, self._config)
-            if fresh is None:
-                query = parse(self.sql)
-                fresh = PlanCacheEntry(query,
-                                       catalog_version=self._db.catalog.version,
-                                       signature=signature_of(query))
-            self._entry = fresh
-            return fresh
+            self._entry = self._db._plan_entry(self.sql, self._config)
+            return self._entry
 
     def execute_chunk(self, params=None, *, cancel_event=None,
-                      deadline: float | None = None,
-                      trace: list[str] | None = None, stats=None) -> Chunk:
+                      deadline: float | None = None, stats=None) -> Chunk:
         entry = self._current_entry()
         bound = bind_parameters(entry.signature, params)
-        executor = Executor(self._db.catalog, self._config, plans=entry.plans,
+        executor = Executor(self._db.catalog, self._config, entry.plans,
                             params=bound, cancel_event=cancel_event,
-                            deadline=deadline, trace=trace, stats=stats)
+                            deadline=deadline, stats=stats)
         return executor.execute(entry.query)
 
     def execute(self, params=None, *, cancel_event=None,

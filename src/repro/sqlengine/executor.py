@@ -8,22 +8,20 @@ projection/aggregation expression evaluation.  Window functions are handled
 by the dedicated :class:`~.plan.Window` operator (kernels in
 :mod:`.window`), not here.
 
-Two execution modes distinguish the simulated backends (cf. DESIGN.md):
-
-* ``vectorized`` (DuckDBSim) — filters/projections are evaluated morsel at a
-  time (batch interpreter overhead per morsel);
-* ``compiled`` (HyperSim, LingoDBSim) — whole-column fused evaluation, plus
-  join re-ordering by estimated cardinality (a "more advanced planner",
-  which is how the paper explains Hyper's edge over DuckDB).
-
-Both modes parallelize filters, projections, hash-join probes, and
-hash-aggregate reductions across a shared thread pool.
+The simulated backends (``duckdb``/``hyper``/``lingodb`` in
+:mod:`repro.backends.presets`) are :class:`EngineConfig` presets of this one
+engine: they differ in planning knobs (join re-ordering by estimated
+cardinality — a "more advanced planner", which is how the paper explains
+Hyper's edge over DuckDB — and window support) and SQL dialect.  Filters,
+projections, hash-join probes and hash-aggregate reductions evaluate whole
+columns, partitioned across a shared thread pool.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -54,22 +52,14 @@ class EngineConfig:
     """Static behaviour knobs for a simulated backend."""
 
     name: str = "engine"
-    mode: str = "compiled"  # "compiled" | "vectorized"
     threads: int = 1
     join_reorder: bool = True
     supports_window: bool = True
-    morsel_size: int = 2048
-    rejected_join_patterns: frozenset = frozenset()
-    # Physical-plan knobs: morsel-parallel join probe / aggregate reduction,
-    # whether Database may reuse compiled plans across executions, and
-    # whether ORDER BY + LIMIT fuses into the parallel TopK operator.
-    parallel_join: bool = True
-    parallel_agg: bool = True
-    plan_cache: bool = True
     # Maximum number of (sql, config) entries the Database-level plan cache
     # retains; least-recently-used entries are evicted beyond this bound
     # (a long-lived server must not let the cache grow with the query log).
     plan_cache_size: int = 256
+    # Whether ORDER BY + LIMIT fuses into the parallel TopK operator.
     topk_rewrite: bool = True
     # Whether the planner rewrites IN/NOT IN/EXISTS/NOT EXISTS and scalar
     # subqueries into SemiJoin/AntiJoin/MarkJoin/ScalarSubqueryScan plan
@@ -97,9 +87,9 @@ class EngineConfig:
     # when an observation diverges from the static estimate beyond
     # adaptive_ratio, re-runs the greedy join ordering over the remaining
     # joins mid-query (the rebuilt subtree is re-verified before it
-    # executes).  Also enables build-side-swap reporting, empty-outer
-    # semi-join short-circuits, and morsel-size auto-tuning.  Results are
-    # identical to static execution up to row order.
+    # executes).  Also enables build-side-swap reporting and empty-outer
+    # semi-join short-circuits.  Results are identical to static execution
+    # up to row order.
     adaptive_execution: bool = False
     # Divergence threshold for re-planning: the larger of actual/est and
     # est/actual must exceed this ratio before a re-plan fires.
@@ -114,56 +104,41 @@ class EngineConfig:
     def plan_fingerprint(self) -> tuple:
         """Canonical identity of this config for plan-cache keying.
 
-        Every backend-profile knob that can influence a compiled plan or
-        its admissibility is included; only runtime-scaling knobs that
-        plans are explicitly independent of (``threads``) and cache-policy
-        knobs (``plan_cache``/``plan_cache_size``) are excluded.  Two
-        different backend profiles therefore never share a cache entry —
-        reusing a plan compiled under another profile could smuggle in the
-        wrong join order, morsel shape, or a feature (window functions)
-        the executing backend must reject.
+        Every field except the runtime-scaling ``threads`` (plans are
+        explicitly independent of it) and the cache-policy
+        ``plan_cache_size``.  Two different backend profiles therefore
+        never share a cache entry — reusing a plan compiled under another
+        profile could smuggle in the wrong join order or a feature (window
+        functions) the executing backend must reject.  Knobs that change no
+        plan shape still count: ``verify_plans`` gates whether a plan was
+        admitted through the static verifier, ``adaptive_ratio`` is runtime
+        behaviour a cached AdaptiveJoin carries with it, and
+        ``shard_workers`` keys the scatter-or-serial decision.
         """
-        return (
-            self.name, self.mode, self.join_reorder, self.supports_window,
-            self.morsel_size, tuple(sorted(self.rejected_join_patterns)),
-            self.parallel_join, self.parallel_agg, self.topk_rewrite,
-            self.subquery_decorrelate, self.memory_budget,
-            self.spill_partitions, self.zone_map_pruning,
-            # verify_plans changes no plan shape, but it gates whether a
-            # plan was admitted through the static verifier — a config
-            # that verifies must not silently adopt a plan cached by one
-            # that did not.
-            self.verify_plans,
-            # adaptive_execution changes the compiled shape (AdaptiveJoin
-            # vs a static join chain); adaptive_ratio changes when that
-            # operator re-plans, which is runtime behaviour a cached plan
-            # carries with it.
-            self.adaptive_execution, self.adaptive_ratio,
-            # shard_workers selects between the scatter/gather path and
-            # plain serial execution; a plan-analysis decision cached under
-            # one worker count must not be reused by another.
-            self.shard_workers,
-        )
+        return _planning_fields(self)
+
+
+_planning_fields = attrgetter(*(
+    f.name for f in fields(EngineConfig)
+    if f.name not in ("threads", "plan_cache_size")
+))
 
 
 class Executor:
     """Executes parsed queries against a catalog.
 
-    ``plans`` (optional) is a shared plan map — ``id(Select) -> PhysicalPlan``
-    — owned by a :class:`~.database.Database` plan-cache entry.  When absent,
-    a throwaway map scoped to one ``execute()`` call is used, so repeated
-    subquery bodies within a statement still plan once.
+    ``plans`` is the shared plan map — ``id(Select) -> PhysicalPlan`` —
+    owned by a :class:`~.database.Database` plan-cache entry, which keeps
+    the parsed AST alive (caching by id() is only safe while it is).
     """
 
-    def __init__(self, catalog: Catalog, config: EngineConfig | None = None,
-                 trace: list[str] | None = None,
-                 plans: dict[int, PhysicalPlan] | None = None,
+    def __init__(self, catalog: Catalog, config: EngineConfig,
+                 plans: dict[int, PhysicalPlan],
                  params: dict | None = None,
                  cancel_event=None, deadline: float | None = None,
                  stats=None):
         self.catalog = catalog
-        self.config = config or EngineConfig()
-        self.trace = trace
+        self.config = config
         self.plans = plans
         # Bound placeholder values for this execution ({index_or_name:
         # scalar}); reaches every Evaluator the operators construct.
@@ -173,14 +148,9 @@ class Executor:
         self.cancel_event = cancel_event
         self.deadline = deadline
         # Per-execution RuntimeStats sink (EXPLAIN ANALYZE / adaptive
-        # execution); operators record actual cardinalities and timings
-        # into it through Operator.run.  None = zero-overhead execution.
+        # execution); operators record actual cardinalities, timings and
+        # trace notes into it.  None = zero-overhead execution.
         self.stats = stats
-        self._active_plans: dict[int, PhysicalPlan] = {}
-
-    def _note(self, message: str) -> None:
-        if self.trace is not None:
-            self.trace.append(message)
 
     def check_runtime(self) -> None:
         """Raise when this execution was cancelled or ran past its deadline.
@@ -198,10 +168,6 @@ class Executor:
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, query: Query) -> Chunk:
-        # A fresh local plan map per execution unless a Database-owned one
-        # was supplied (caching by id() is only safe while the parsed AST
-        # is kept alive, which the Database plan cache guarantees).
-        self._active_plans = self.plans if self.plans is not None else {}
         env: dict[str, Chunk] = {}
         for cte in query.ctes:
             chunk = self._execute_body(cte.query, env)
@@ -212,7 +178,9 @@ class Executor:
                         f"but produces {chunk.ncols}"
                     )
                 chunk = Chunk(list(cte.column_names), chunk.arrays)
-            self._note(f"materialize CTE {cte.name} -> {chunk.nrows} rows x {chunk.ncols} cols")
+            if self.stats is not None:
+                self.stats.note(f"materialize CTE {cte.name} -> {chunk.nrows} "
+                                f"rows x {chunk.ncols} cols")
             env[cte.name] = chunk
         return self._execute_select(query.body, env)
 
@@ -243,10 +211,11 @@ class Executor:
                  cacheable: bool = True) -> PhysicalPlan:
         """Fetch (or build and remember) the physical plan for a body
         (a plain SELECT or a compound select)."""
-        plan = self._active_plans.get(id(select))
+        plan = self.plans.get(id(select))
         if plan is not None:
             plan.cache_hits += 1
-            self._note("plan cache hit: reusing compiled plan")
+            if self.stats is not None:
+                self.stats.note("plan cache hit: reusing compiled plan")
             return plan
         env_schemas = {
             name: RelSchema(list(c.columns), float(c.nrows))
@@ -261,11 +230,11 @@ class Executor:
 
             verify_plan(plan, self.catalog, self.config, env)
         if cacheable:
-            self._active_plans[id(select)] = plan
+            self.plans[id(select)] = plan
             # Derived-table bodies were planned as part of this plan; register
             # their subplans so SubqueryScan execution reuses them.
             for body, subplan in plan.subquery_plans():
-                self._active_plans.setdefault(id(body), subplan)
+                self.plans.setdefault(id(body), subplan)
         return plan
 
     def _execute_select(self, select, env: dict[str, Chunk],
@@ -308,32 +277,14 @@ class Executor:
         n = chunk.nrows
         threads = self.config.threads
         params = self.params
-        morsel = self.config.morsel_size if self.config.mode == "vectorized" else None
         simple = not window_values and not any(has_subquery(it.expr) for it in items)
 
         if simple and n > 1:
             def make_arrays(start: int, stop: int) -> list[np.ndarray]:
-                if morsel is None:
-                    sub = chunk.slice(start, stop)
-                    ev = Evaluator(sub, scope, subquery_executor=subquery_cb,
-                                   params=params)
-                    return [ev.eval_array(it.expr) for it in items]
-                parts: list[list[np.ndarray]] = []
-                pos = start
-                while pos < stop:
-                    end = min(pos + morsel, stop)
-                    sub = chunk.slice(pos, end)
-                    ev = Evaluator(sub, scope, subquery_executor=subquery_cb,
-                                   params=params)
-                    parts.append([ev.eval_array(it.expr) for it in items])
-                    pos = end
-                if not parts:
-                    ev = Evaluator(chunk.slice(0, 0), scope,
-                                   subquery_executor=subquery_cb, params=params)
-                    return [ev.eval_array(it.expr) for it in items]
-                if len(parts) == 1:
-                    return parts[0]
-                return [np.concatenate([p[i] for p in parts]) for i in range(len(items))]
+                sub = chunk.slice(start, stop)
+                ev = Evaluator(sub, scope, subquery_executor=subquery_cb,
+                               params=params)
+                return [ev.eval_array(it.expr) for it in items]
 
             arrays = parallel_arrays(n, threads, make_arrays)
             evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
@@ -444,16 +395,16 @@ class Executor:
             positions = np.arange(chunk.nrows - 1, -1, -1, dtype=np.int64)
             group_first = np.zeros(ngroups, dtype=np.int64)
             group_first[gids[positions]] = positions
-        self._note(f"hash aggregate: {len(select.group_by)} key(s), "
-                   f"{chunk.nrows} rows -> {ngroups} groups")
+        if self.stats is not None:
+            self.stats.note(f"hash aggregate: {len(select.group_by)} key(s), "
+                            f"{chunk.nrows} rows -> {ngroups} groups")
         evaluator.gids = gids
         evaluator.ngroups = ngroups
         evaluator.group_first = group_first
         for gexpr, uniq in zip(select.group_by, key_uniques):
             evaluator.group_key_values[expr_key(gexpr)] = uniq
 
-        parallel = (self.config.parallel_agg and self.config.threads > 1
-                    and chunk.nrows >= 4096)
+        parallel = self.config.threads > 1 and chunk.nrows >= 4096
         arrays: list[np.ndarray | None] = [None] * len(items)
         pending: list[tuple[int, SelectItem]] = []
         serial: list[tuple[int, SelectItem]] = []

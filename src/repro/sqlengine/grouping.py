@@ -37,39 +37,39 @@ def factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gids, uniques
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def factorize_many(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Dense group ids for composite keys.
 
-    Factorizes each key column independently, packs the per-column ids into
-    a single int64 code, and factorizes the codes.  Returns
-    ``(gids, unique_key_columns, ngroups)``.
+    Factorizes each key column independently and packs the per-column ids
+    into a single int64 code, first column most significant, so group ids
+    follow the lexicographic order of the key ids.  When the next column's
+    cardinality would overflow the packed code, the running code is first
+    re-factorized into dense ids (fewer than the row count), which keeps
+    the order.  Returns ``(gids, unique_key_columns, ngroups)``.
     """
     if len(arrays) == 1:
         gids, uniques = factorize(arrays[0])
         return gids, [uniques], len(uniques)
     per_col: list[tuple[np.ndarray, np.ndarray]] = [factorize(a) for a in arrays]
-    codes = np.zeros(len(arrays[0]), dtype=np.int64)
-    multiplier = 1
-    for gids, uniques in reversed(per_col):
-        codes += gids * multiplier
-        multiplier *= max(len(uniques), 1)
-    combined, combined_uniques = np.unique(codes, return_inverse=True)
-    ngroups = len(combined)
-    # Decode combined codes back into per-column unique values.
-    key_cols: list[np.ndarray] = []
-    remaining = combined.copy()
-    multipliers = []
-    m = 1
-    sizes = [len(u) for _, u in per_col]
-    for size in reversed(sizes):
-        multipliers.append(m)
-        m *= max(size, 1)
-    multipliers = list(reversed(multipliers))
-    for (gids, uniques), mult in zip(per_col, multipliers):
-        idx = remaining // mult
-        remaining = remaining % mult
-        key_cols.append(uniques[idx])
-    return combined_uniques.astype(np.int64), key_cols, ngroups
+    codes, first_uniques = per_col[0]
+    span = max(len(first_uniques), 1)  # every code lies in [0, span)
+    for gids, uniques in per_col[1:]:
+        size = max(len(uniques), 1)
+        if span > _INT64_MAX // size:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            span = len(distinct)
+        codes = codes * size + gids
+        span *= size
+    combined, inverse = np.unique(codes, return_inverse=True)
+    inverse = inverse.astype(np.int64)
+    # Each group's key values, read at one of its rows.
+    rows = np.zeros(len(combined), dtype=np.int64)
+    rows[inverse] = np.arange(len(inverse), dtype=np.int64)
+    key_cols = [uniques[gids[rows]] for gids, uniques in per_col]
+    return inverse, key_cols, len(combined)
 
 
 def parallel_group_reduce(

@@ -1,8 +1,8 @@
 """Intra-query parallelism: morsel-driven filter/projection evaluation.
 
-The two simulated backends both parallelize scans/filters/projections across
-a thread pool (NumPy kernels release the GIL on large arrays, so the
-speedups are real, mirroring the scalability analysis of Section V-C).
+Every backend profile parallelizes scans/filters/projections across a
+thread pool (NumPy kernels release the GIL on large arrays, so the speedups
+are real, mirroring the scalability analysis of Section V-C).
 """
 
 from __future__ import annotations

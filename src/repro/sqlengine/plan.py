@@ -176,8 +176,13 @@ class ExecContext:
         statement has no parameters)."""
         return self.executor.params
 
-    def note(self, message: str) -> None:
-        self.executor._note(message)
+    def note(self, message: str, *args: object) -> None:
+        """Add a trace line (``message % args``) to this execution's
+        :class:`~.runtime_stats.RuntimeStats`; formatting is skipped when
+        none is attached."""
+        stats = self.executor.stats
+        if stats is not None:
+            stats.note(message % args if args else message)
 
     def checkpoint(self) -> None:
         """Cooperative cancellation/timeout check at an operator boundary."""
@@ -291,11 +296,9 @@ class Scan(Operator):
             table = ctx.executor.catalog.get(self.table)
             chunk = table.scan(self.keep_columns, self.chunk_ids)
             if self.chunk_ids is not None and self.n_chunks:
-                ctx.note(
-                    f"scan {self.binding}: zone maps pruned "
-                    f"{self.n_chunks - len(self.chunk_ids)}/{self.n_chunks} "
-                    f"chunk(s), read {chunk.nrows} rows"
-                )
+                ctx.note("scan %s: zone maps pruned %s/%s chunk(s), read %s rows",
+                         self.binding, self.n_chunks - len(self.chunk_ids),
+                         self.n_chunks, chunk.nrows)
         return OpResult(chunk, _single_scope(self.binding, chunk))
 
 
@@ -345,7 +348,7 @@ class Filter(Operator):
     """Pushed-down filter directly above a scan (no subqueries allowed).
 
     Morsel-parallel: the mask is evaluated over row partitions on the shared
-    pool; vectorized mode additionally chops each partition into morsels.
+    pool.
     """
 
     child: Operator
@@ -367,47 +370,14 @@ class Filter(Operator):
         config = ctx.config
         params = ctx.params
         n = chunk.nrows
-        morsel = config.morsel_size if config.mode == "vectorized" else None
-        if morsel is not None and config.adaptive_execution and n > 0:
-            # Auto-tune the morsel size from the observed input cardinality:
-            # aim for ~8 morsels per worker partition so the pool stays busy
-            # without per-morsel overhead dominating tiny inputs.  Mask
-            # evaluation concatenates per-morsel results, so the output is
-            # independent of the morsel size chosen.
-            per_thread = max(1, n // max(1, config.threads))
-            ideal = max(256, min(65536, per_thread // 8))
-            if ideal >= 2 * morsel or morsel >= 2 * ideal:
-                stats = ctx.executor.stats
-                if stats is not None:
-                    stats.event(
-                        f"filter {self.binding}: morsel size auto-tuned "
-                        f"{morsel} -> {ideal} for {n} input rows"
-                    )
-                ctx.note(f"adaptive: filter {self.binding} morsel size "
-                         f"{morsel} -> {ideal}")
-                morsel = ideal
         exprs = self.predicates
 
         def make_mask(start: int, stop: int) -> np.ndarray:
-            if morsel is None:
-                sub = chunk.slice(start, stop)
-                ev = Evaluator(sub, scope, params=params)
-                mask = np.ones(stop - start, dtype=bool)
-                for e in exprs:
-                    mask &= ev.eval_mask(e)
-                return mask
-            parts = [np.zeros(0, dtype=bool)]
-            pos = start
-            while pos < stop:
-                end = min(pos + morsel, stop)
-                sub = chunk.slice(pos, end)
-                ev = Evaluator(sub, scope, params=params)
-                mask = np.ones(end - pos, dtype=bool)
-                for e in exprs:
-                    mask &= ev.eval_mask(e)
-                parts.append(mask)
-                pos = end
-            return np.concatenate(parts) if len(parts) > 2 else parts[-1]
+            ev = Evaluator(chunk.slice(start, stop), scope, params=params)
+            mask = np.ones(stop - start, dtype=bool)
+            for e in exprs:
+                mask &= ev.eval_mask(e)
+            return mask
 
         mask = parallel_masks(n, config.threads, make_mask)
         if config.threads > 1 and n >= 4096:
@@ -418,10 +388,8 @@ class Filter(Operator):
                                      chunk.arrays))
         else:
             out = chunk.mask(mask)
-        ctx.note(
-            f"scan+filter {self.binding}: {len(exprs)} predicate(s) pushed down, "
-            f"{n} -> {out.nrows} rows"
-        )
+        ctx.note("scan+filter %s: %s predicate(s) pushed down, %s -> %s rows",
+                 self.binding, len(exprs), n, out.nrows)
         return OpResult(out, scope)
 
 
@@ -463,9 +431,8 @@ class CrossJoin(Operator):
         rp = np.tile(np.arange(nr, dtype=np.int64), nl)
         zeros = np.zeros(len(lp), dtype=bool)
         chunk = combine_chunks(lres.chunk, rres.chunk, lp, rp, zeros, zeros)
-        ctx.note(
-            f"cartesian product + {self.right_binding}: {nl} x {nr} -> {len(lp)} rows"
-        )
+        ctx.note("cartesian product + %s: %s x %s -> %s rows",
+                 self.right_binding, nl, nr, len(lp))
         scope = _merge_scopes(lres.scope, self.right_binding, rres.chunk, lres.chunk.ncols)
         return OpResult(chunk, scope)
 
@@ -505,7 +472,7 @@ class HashJoin(Operator):
         right_eval = Evaluator(right_chunk, rres.scope, params=ctx.params)
         lkeys = [left_eval.eval_array(le) for le, _ in self.pairs]
         rkeys = [right_eval.eval_array(re_) for _, re_ in self.pairs]
-        threads = ctx.config.threads if ctx.config.parallel_join else 1
+        threads = ctx.config.threads
         spilled = None
         budget = ctx.config.memory_budget
         if budget is not None and left_chunk.nrows and right_chunk.nrows:
@@ -517,12 +484,10 @@ class HashJoin(Operator):
                     lkeys, rkeys, self.how, threads=threads,
                     nparts=max(2, ctx.config.spill_partitions),
                 )
-                ctx.note(
-                    f"spill: hash join + {self.right_binding} build side "
-                    f"{build_bytes} bytes > budget {budget}, grace-partitioned "
-                    f"over {spilled.partitions} partition(s), "
-                    f"{spilled.bytes_spilled} bytes to disk"
-                )
+                ctx.note("spill: hash join + %s build side %s bytes > budget %s, "
+                         "grace-partitioned over %s partition(s), %s bytes to disk",
+                         self.right_binding, build_bytes, budget,
+                         spilled.partitions, spilled.bytes_spilled)
         if spilled is None:
             if ctx.config.adaptive_execution:
                 nl, nr = left_chunk.nrows, right_chunk.nrows
@@ -541,10 +506,9 @@ class HashJoin(Operator):
                                                   threads=threads)
         chunk = combine_chunks(left_chunk, right_chunk, lp, rp, lmiss, rmiss,
                                threads=threads)
-        ctx.note(
-            f"hash join + {self.right_binding} on {len(self.pairs)} key(s): "
-            f"{left_chunk.nrows} x {right_chunk.nrows} -> {chunk.nrows} rows"
-        )
+        ctx.note("hash join + %s on %s key(s): %s x %s -> %s rows",
+                 self.right_binding, len(self.pairs), left_chunk.nrows,
+                 right_chunk.nrows, chunk.nrows)
         scope = _merge_scopes(lres.scope, self.right_binding, right_chunk, left_chunk.ncols)
         if self.residual:
             ev = Evaluator(chunk, scope, params=ctx.params)
@@ -699,7 +663,6 @@ class AdaptiveJoin(Operator):
                 )
                 if stats is not None:
                     stats.replan(message)
-                ctx.note(f"adaptive {message}")
             elif stats is not None:
                 src = self.sources[worst_idx]
                 stats.event(
@@ -766,8 +729,8 @@ class ResidualFilter(Operator):
         for conj in self.predicates:
             mask &= evaluator.eval_mask(conj)
         chunk = chunk.mask(mask)
-        ctx.note(f"residual filter: {len(self.predicates)} predicate(s), "
-                 f"{before} -> {chunk.nrows} rows")
+        ctx.note("residual filter: %s predicate(s), %s -> %s rows",
+                 len(self.predicates), before, chunk.nrows)
         return OpResult(chunk, res.scope)
 
 
@@ -780,7 +743,6 @@ def _skip_subquery_event(ctx: ExecContext, what: str) -> None:
     stats = ctx.executor.stats
     if stats is not None:
         stats.event(f"{what}: empty outer input, subquery skipped")
-    ctx.note(f"adaptive: {what} skipped subquery on empty outer input")
 
 
 def _subquery_probe_flags(ctx: ExecContext, res: OpResult,
@@ -841,8 +803,8 @@ class SemiJoin(Operator):
         flags, inner = _subquery_probe_flags(ctx, res, self.subplan,
                                              self.probe_exprs)
         chunk = res.chunk.mask(flags)
-        ctx.note(f"semi join ({self.source.lower()} subquery): "
-                 f"{res.chunk.nrows} x {inner.nrows} -> {chunk.nrows} rows")
+        ctx.note("semi join (%s subquery): %s x %s -> %s rows",
+                 self.source.lower(), res.chunk.nrows, inner.nrows, chunk.nrows)
         return OpResult(chunk, res.scope)
 
 
@@ -936,9 +898,9 @@ class AntiJoin(Operator):
                                                  self.probe_exprs)
             keep, inner_rows = ~flags, inner.nrows
         chunk = res.chunk.mask(keep)
-        ctx.note(f"anti join ({'not in' if self.null_aware else 'not exists'} "
-                 f"subquery): {res.chunk.nrows} x {inner_rows} "
-                 f"-> {chunk.nrows} rows")
+        ctx.note("anti join (%s subquery): %s x %s -> %s rows",
+                 "not in" if self.null_aware else "not exists",
+                 res.chunk.nrows, inner_rows, chunk.nrows)
         return OpResult(chunk, res.scope)
 
 
@@ -997,7 +959,7 @@ class MarkJoin(Operator):
             flags, _ = _subquery_probe_flags(ctx, res, self.subplan,
                                              self.probe_exprs)
             mark = ~flags if self.mode == "anti" else flags
-        ctx.note(f"mark join {self.mark_name}: {res.chunk.nrows} rows")
+        ctx.note("mark join %s: %s rows", self.mark_name, res.chunk.nrows)
         return _append_column(res, self.mark_name, mark)
 
 
@@ -1040,7 +1002,7 @@ class ScalarSubqueryScan(Operator):
             column[:] = value
         else:
             column = np.full(n, value, dtype=inner.arrays[0].dtype)
-        ctx.note(f"scalar subquery {self.scalar_name}: value={value!r}")
+        ctx.note("scalar subquery %s: value=%r", self.scalar_name, value)
         return _append_column(res, self.scalar_name, column)
 
 
@@ -1087,10 +1049,8 @@ class Window(Operator):
              tuple(expr_to_str(o.expr) for o in c.order_by))
             for c in self.calls
         }
-        ctx.note(
-            f"window: {len(self.calls)} call(s) over {len(specs)} spec(s), "
-            f"{res.chunk.nrows} rows"
-        )
+        ctx.note("window: %s call(s) over %s spec(s), %s rows",
+                 len(self.calls), len(specs), res.chunk.nrows)
         return OpResult(res.chunk, res.scope, order_eval=res.order_eval,
                         window_values=values)
 
@@ -1162,12 +1122,11 @@ class HashAggregate(Operator):
                 )
                 if spilled is not None:
                     chunk, order_eval, stats = spilled
-                    ctx.note(
-                        f"spill: hash aggregate input {input_bytes} bytes > "
-                        f"budget {budget}, grace-partitioned "
-                        f"{res.chunk.nrows} rows over {stats.partitions} "
-                        f"partition(s), {stats.bytes_spilled} bytes to disk"
-                    )
+                    ctx.note("spill: hash aggregate input %s bytes > budget %s, "
+                             "grace-partitioned %s rows over %s partition(s), "
+                             "%s bytes to disk", input_bytes, budget,
+                             res.chunk.nrows, stats.partitions,
+                             stats.bytes_spilled)
                     return OpResult(chunk, res.scope, order_eval=order_eval)
         chunk, order_eval = executor._project_grouped(
             self.select, res.chunk, res.scope, cb, {}
@@ -1234,7 +1193,7 @@ class Sort(Operator):
         from .window import sort_positions
 
         chunk = res.chunk.take(sort_positions(arrays, ascendings))
-        ctx.note(f"sort: {len(self.order_by)} key(s)")
+        ctx.note("sort: %s key(s)", len(self.order_by))
         return OpResult(chunk, res.scope)
 
 
@@ -1270,8 +1229,8 @@ class TopK(Operator):
         positions = topk_positions(arrays, ascendings, self.n,
                                    threads=ctx.config.threads)
         chunk = res.chunk.take(positions)
-        ctx.note(f"top-k: {len(self.order_by)} key(s), "
-                 f"{res.chunk.nrows} -> {chunk.nrows} rows")
+        ctx.note("top-k: %s key(s), %s -> %s rows",
+                 len(self.order_by), res.chunk.nrows, chunk.nrows)
         return OpResult(chunk, res.scope)
 
 
@@ -1292,7 +1251,7 @@ class Limit(Operator):
     def execute(self, ctx: ExecContext) -> OpResult:
         res = self.child.run(ctx)
         chunk = res.chunk.head(self.n)
-        ctx.note(f"limit: {self.n}")
+        ctx.note("limit: %s", self.n)
         return OpResult(chunk, res.scope)
 
 
@@ -1331,10 +1290,9 @@ class SetOp(Operator):
         ctx.checkpoint()
         chunk = execute_set_op(self.op, self.all, lres.chunk, rres.chunk,
                                self.columns, threads=ctx.config.threads)
-        ctx.note(
-            f"set op {self.label().split(' ', 1)[1].lower()}: "
-            f"{lres.chunk.nrows} vs {rres.chunk.nrows} -> {chunk.nrows} rows"
-        )
+        ctx.note("set op %s: %s vs %s -> %s rows",
+                 self.label().split(" ", 1)[1].lower(), lres.chunk.nrows,
+                 rres.chunk.nrows, chunk.nrows)
         # Downstream ORDER BY must reference output columns only.
         scope = Scope()
         for slot, col in enumerate(chunk.columns):

@@ -3,15 +3,19 @@
 A :class:`RuntimeStats` object rides along one execution (attached to the
 :class:`~.executor.Executor`); every operator pulled through
 :meth:`~.plan.Operator.run` records its actual output cardinality and
-elapsed wall time here, keyed by node identity.  The adaptive-execution
-machinery (:class:`~.plan.AdaptiveJoin` and friends) additionally appends
-human-readable *events* — mid-query re-plans, build-side swaps, morsel
-re-tuning, semi-join short-circuits — and counts the re-plans.
+elapsed wall time here, keyed by node identity.  Operators also append
+human-readable trace *notes* (predicate pushdown, join and set-op
+cardinalities, spills, CTE materialization, plan-cache hits) through
+:meth:`~.plan.ExecContext.note`, and the adaptive-execution machinery
+(:class:`~.plan.AdaptiveJoin` and friends) appends *events* — mid-query
+re-plans, build-side swaps, semi-join short-circuits — and counts the
+re-plans.  Each fact is recorded once, in one of the two lists.
 
 :meth:`render` produces the EXPLAIN ANALYZE text: the executed plan tree
 with ``est`` vs ``actual`` rows and inclusive elapsed milliseconds per
-node, followed by the adaptive events.  Operators that never executed
-(e.g. sources of a skipped subquery) show their estimate only.
+node, followed by the trace notes and the adaptive events.  Operators that
+never executed (e.g. sources of a skipped subquery) show their estimate
+only.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class RuntimeStats:
     """
 
     ops: dict[int, OpStats] = field(default_factory=dict)
+    notes: list[str] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
     replans: int = 0
     plans: list["PhysicalPlan"] = field(default_factory=list)
@@ -65,6 +70,9 @@ class RuntimeStats:
         entry.actual_rows += int(rows)
         entry.elapsed_ms += seconds * 1000.0
         entry.invocations += 1
+
+    def note(self, message: str) -> None:
+        self.notes.append(message)
 
     def event(self, message: str) -> None:
         self.events.append(message)
@@ -95,7 +103,8 @@ class RuntimeStats:
         return "".join(parts)
 
     def render(self) -> str:
-        """EXPLAIN ANALYZE text: executed plan tree(s) + adaptive events."""
+        """EXPLAIN ANALYZE text: executed plan tree(s), trace notes and
+        adaptive events."""
         lines: list[str] = []
         seen: set[int] = set()
 
@@ -111,6 +120,9 @@ class RuntimeStats:
             if id(plan.root) in seen:
                 continue
             walk(plan.root, 0)
+        if self.notes:
+            lines.append("Trace:")
+            lines.extend(f"  {note}" for note in self.notes)
         if self.events:
             lines.append("Adaptive events:")
             lines.extend(f"  {event}" for event in self.events)

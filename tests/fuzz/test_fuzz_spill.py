@@ -42,7 +42,7 @@ def test_budget_actually_forces_spill(fuzz_db):
     because nothing ever exceeded it."""
     # The dimension-side build is only ~0.5 KiB, so probe the join spill
     # with a budget below it (the corpus BUDGET still spills aggregates).
-    trace = fuzz_db.explain(
+    trace = fuzz_db.explain_analyze(
         "SELECT o.cust, COUNT(*) AS n FROM orders AS o JOIN parts AS p "
         "ON o.cust = p.grp GROUP BY o.cust",
         config=EngineConfig(memory_budget=256, spill_partitions=5))

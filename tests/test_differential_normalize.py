@@ -14,7 +14,6 @@ import numpy as np
 from repro.backends.rows import (
     chunk_rows, norm_cell, normalize_rows, rows_equal, to_python_cell,
 )
-from repro.bench.differential import _to_python  # compat re-export
 
 
 class TestToPythonCell:
@@ -39,9 +38,6 @@ class TestToPythonCell:
     def test_none_and_str_pass_through(self):
         assert to_python_cell(None) is None
         assert to_python_cell("ok") == "ok"
-
-    def test_compat_alias(self):
-        assert _to_python is to_python_cell
 
 
 class TestNormCell:

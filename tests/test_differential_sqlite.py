@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 from repro import connect
-from repro.backends import get_backend
-from repro.bench.differential import (
-    assert_matches_backend, assert_same_results, load_sqlite, to_sqlite_sql,
-)
+from repro.backends import get_backend, load_sqlite, to_sqlite_sql
+from repro.bench.differential import assert_matches_backend, assert_same_results
 from repro.workloads.tpch import QUERIES
 
 

@@ -106,6 +106,38 @@ class TestFactorize:
         for level, col in enumerate(cols):
             assert keys[level][gids].tolist() == col.tolist()
 
+    def test_factorize_many_cardinality_product_past_int64(self):
+        # 700**7 and 700**8 exceed 2**63: a single packed int64 code would
+        # wrap (mixing groups) or overflow.
+        rng = np.random.default_rng(7)
+        for ncols in (7, 8):
+            cols = [rng.integers(0, 700, 3000) for _ in range(ncols)]
+            gids, keys, ngroups = factorize_many(cols)
+            rows = list(zip(*(c.tolist() for c in cols)))
+            assert ngroups == len(set(rows))
+            for level, col in enumerate(cols):
+                assert keys[level][gids].tolist() == col.tolist()
+            # Group ids still follow the lexicographic order of the keys.
+            decoded = list(zip(*(k.tolist() for k in keys)))
+            assert decoded == sorted(set(rows))
+
+    def test_group_by_seven_wide_keys_matches_python(self):
+        from repro import connect
+
+        rng = np.random.default_rng(11)
+        data = {f"k{i}": rng.integers(0, 700, 3000) for i in range(7)}
+        db = connect()
+        db.register("t", data)
+        keys = ", ".join(data)
+        out = db.execute_chunk(f"SELECT {keys}, COUNT(*) AS n FROM t "
+                               f"GROUP BY {keys}")
+        expected: dict[tuple, int] = {}
+        for row in zip(*(v.tolist() for v in data.values())):
+            expected[row] = expected.get(row, 0) + 1
+        got = {tuple(a[i] for a in out.arrays[:7]): out.arrays[7][i]
+               for i in range(out.nrows)}
+        assert got == expected
+
 
 class TestSortPrimitives:
     def test_mixed_direction_multi_key(self):

@@ -234,7 +234,7 @@ class TestZoneMapPlanShape:
         assert "zonemap=8/8 chunks" in plan
 
     def test_explain_analyze_reports_pruned_rows(self, stored_db):
-        trace = stored_db.explain(
+        trace = stored_db.explain_analyze(
             "SELECT COUNT(*) AS n FROM events WHERE ts BETWEEN 256 AND 300")
         assert "zone maps pruned 7/8 chunk(s), read 128 rows" in trace
 
@@ -260,7 +260,7 @@ class TestSpillPlanShape:
 
     def test_join_and_aggregate_spill_events_in_trace(self, wide_db):
         cfg = EngineConfig(memory_budget=1024, spill_partitions=4)
-        trace = wide_db.explain(
+        trace = wide_db.explain_analyze(
             "SELECT f.k AS k, SUM(f.v + d.w) AS s FROM f JOIN d "
             "ON f.k = d.k GROUP BY f.k", config=cfg)
         assert "spill: hash join" in trace
@@ -269,7 +269,7 @@ class TestSpillPlanShape:
         assert "bytes to disk" in trace
 
     def test_no_spill_events_without_budget(self, wide_db):
-        trace = wide_db.explain(
+        trace = wide_db.explain_analyze(
             "SELECT f.k AS k, SUM(f.v) AS s FROM f GROUP BY f.k")
         assert "spill" not in trace
 
@@ -277,8 +277,8 @@ class TestSpillPlanShape:
         sql = "SELECT k, SUM(v) AS s FROM f GROUP BY k"
         wide_db.execute(sql)
         wide_db.execute(sql, config=EngineConfig(memory_budget=1024))
-        assert wide_db.plan_cache_stats["hits"] == 0
-        assert wide_db.plan_cache_stats["entries"] == 2
+        assert wide_db.cache_stats()["hits"] == 0
+        assert wide_db.cache_stats()["entries"] == 2
 
 
 class TestSubqueryPlanShape:
@@ -369,16 +369,16 @@ class TestPlanCache:
     def test_second_execution_hits_cache(self, db):
         sql = "SELECT b, SUM(c) AS s FROM t GROUP BY b"
         db.execute(sql)
-        assert db.plan_cache_stats["hits"] == 0
+        assert db.cache_stats()["hits"] == 0
         db.execute(sql)
-        assert db.plan_cache_stats["hits"] == 1
+        assert db.cache_stats()["hits"] == 1
         db.execute(sql)
-        assert db.plan_cache_stats["hits"] == 2
+        assert db.cache_stats()["hits"] == 2
 
     def test_cache_hit_visible_in_trace(self, db):
         sql = "SELECT a FROM t WHERE a > 2"
         db.execute(sql)
-        trace = db.explain(sql)
+        trace = db.explain_analyze(sql)
         assert "plan cache hit" in trace
 
     def test_ddl_invalidates_cache(self, db):
@@ -387,42 +387,35 @@ class TestPlanCache:
         db.register("t2", {"x": [1]})  # bump catalog version
         db.execute(sql)
         # the stale entry was rebuilt, not reused
-        assert db.plan_cache_stats["hits"] == 0
+        assert db.cache_stats()["hits"] == 0
 
     def test_cached_plan_produces_same_rows(self, db):
         sql = "SELECT t.a, u.w FROM t, u WHERE t.b = u.b ORDER BY t.a"
         first = db.execute(sql).to_dict()
         second = db.execute(sql).to_dict()
         assert first == second
-        assert db.plan_cache_stats["hits"] >= 1
+        assert db.cache_stats()["hits"] >= 1
 
     def test_distinct_configs_get_distinct_entries(self, db):
         sql = "SELECT t.a FROM t, u WHERE t.b = u.b"
         db.execute(sql, config=EngineConfig(join_reorder=True))
         db.execute(sql, config=EngineConfig(join_reorder=False))
-        assert db.plan_cache_stats["hits"] == 0
-        assert db.plan_cache_stats["entries"] == 2
+        assert db.cache_stats()["hits"] == 0
+        assert db.cache_stats()["entries"] == 2
 
     def test_decorrelation_keyed_in_plan_cache(self, db):
         sql = "SELECT a FROM t WHERE b IN (SELECT b FROM u)"
         db.execute(sql, config=EngineConfig(subquery_decorrelate=True))
         db.execute(sql, config=EngineConfig(subquery_decorrelate=False))
-        assert db.plan_cache_stats["hits"] == 0
-        assert db.plan_cache_stats["entries"] == 2
+        assert db.cache_stats()["hits"] == 0
+        assert db.cache_stats()["entries"] == 2
 
     def test_cached_subquery_plan_reused(self, db):
         sql = "SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE w > 5)"
         first = db.execute(sql).to_dict()
         second = db.execute(sql).to_dict()
         assert first == second
-        assert db.plan_cache_stats["hits"] >= 1
-
-    def test_plan_cache_disabled(self, db):
-        cfg = EngineConfig(plan_cache=False)
-        sql = "SELECT a FROM t"
-        db.execute(sql, config=cfg)
-        db.execute(sql, config=cfg)
-        assert db.plan_cache_stats["entries"] == 0
+        assert db.cache_stats()["hits"] >= 1
 
     def test_results_unchanged_after_data_replacement(self, db):
         sql = "SELECT SUM(a) AS s FROM t"

@@ -12,6 +12,8 @@ Layers covered:
   ``Database.cache_stats()`` hits/misses/evictions.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -184,13 +186,6 @@ class TestExecution:
         db.register("t", {"a": np.array([100, 200])})  # replace the table
         assert stmt.execute([99]).to_dict() == {"a": [100, 200]}
 
-    def test_prepare_with_plan_cache_disabled(self, db):
-        cfg = EngineConfig(plan_cache=False)
-        stmt = db.prepare("SELECT a FROM t WHERE a > ?", config=cfg)
-        assert stmt.execute([9]).to_dict() == {"a": [10, 11]}
-        assert stmt.execute([10]).to_dict() == {"a": [11]}
-        assert db.cache_stats()["entries"] == 0
-
     def test_like_pattern_parameter(self, db):
         stmt = db.prepare("SELECT COUNT(*) AS n FROM t WHERE s LIKE ?")
         assert stmt.execute(["a%"]).to_dict() == {"n": [2]}
@@ -206,7 +201,7 @@ class TestExecution:
         assert stmt.execute({"pat": "b%", "lo": 0}).to_dict() == {"n": [2]}
 
     def test_explain_with_params(self, db):
-        trace = db.explain("SELECT a FROM t WHERE a > ?", params=[5])
+        trace = db.explain_analyze("SELECT a FROM t WHERE a > ?", params=[5])
         assert "pushed down" in trace
 
     def test_explain_plan_renders_placeholders(self, db):
@@ -295,9 +290,9 @@ class TestCrossBackendCacheIsolation:
     """Regression: the plan cache must key on the FULL backend-profile
     fingerprint.  It used to key on a subset of planning flags
     (join_reorder/topk/decorrelate), so two backend configs agreeing on
-    that subset — e.g. profiles differing only in execution ``mode`` or
-    ``supports_window`` — shared one cache entry, and the second backend
-    silently executed a plan admitted/compiled under the first's profile.
+    that subset — e.g. profiles differing only in ``supports_window`` —
+    shared one cache entry, and the second backend silently executed a plan
+    admitted/compiled under the first's profile.
     """
 
     SQL = "SELECT b, SUM(x) AS sx FROM t GROUP BY b"
@@ -314,14 +309,31 @@ class TestCrossBackendCacheIsolation:
         assert stats["hits"] == 0
         assert stats["entries"] == 2
 
-    def test_mode_only_difference_gets_distinct_entries(self, db):
+    @pytest.mark.parametrize("field", fields(EngineConfig),
+                             ids=lambda f: f.name)
+    def test_cache_keying_per_field(self, db, field):
+        """Every field is a planning field, keyed in the fingerprint,
+        except the runtime-scaling ``threads`` and the cache-policy
+        ``plan_cache_size``: a field left out of the fingerprint would let
+        two profiles differing only in it share one cached plan."""
+        default = field.default
+        if isinstance(default, bool):
+            changed = not default
+        elif default is None:
+            changed = 1024
+        elif isinstance(default, (int, float)):
+            changed = default + 1
+        else:
+            changed = f"{default}-other"
+        base = EngineConfig()
+        other = replace(base, **{field.name: changed})
+        planning = field.name not in ("threads", "plan_cache_size")
+        assert (other.plan_fingerprint() != base.plan_fingerprint()) == planning
         db.clear_plan_cache()
-        a = EngineConfig(name="a", mode="vectorized")
-        b = EngineConfig(name="a", mode="compiled")
-        db.execute(self.SQL, config=a)
-        db.execute(self.SQL, config=b)
-        assert db.cache_stats()["entries"] == 2
-        assert db.cache_stats()["hits"] == 0
+        db.execute(self.SQL, config=base)
+        db.execute(self.SQL, config=other)
+        assert db.cache_stats()["entries"] == (2 if planning else 1)
+        assert db.cache_stats()["hits"] == (0 if planning else 1)
 
     def test_window_support_difference_gets_distinct_entries(self, db):
         db.clear_plan_cache()

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.dataframe as rpd
 from repro import connect
+from repro.backends import get_backend
 from repro.core.codegen import generate_sql
 from repro.core.tondir.ir import (
     Agg, AssignAtom, BinOp, Const, FilterAtom, Head, Program, RelAtom, Rule, Var,
@@ -188,12 +189,11 @@ class TestEngineVsFrames:
         db = connect()
         db.register("t", {"k": np.array(ks, dtype=np.int64)})
         sql = "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k"
-        ref = db.execute(sql, config=EngineConfig(mode="compiled", threads=1)).to_dict()
-        for mode in ("compiled", "vectorized"):
+        ref = db.execute(sql, config=EngineConfig(threads=1)).to_dict()
+        for name in ("duckdb", "hyper", "lingodb"):
             for threads in (2, 3):
-                got = db.execute(sql, config=EngineConfig(mode=mode, threads=threads,
-                                                          morsel_size=3)).to_dict()
-                assert got == ref
+                config = get_backend(name).config(threads=threads)
+                assert db.execute(sql, config=config).to_dict() == ref
 
 
 class TestCompoundSelectProperties:
@@ -213,7 +213,9 @@ class TestCompoundSelectProperties:
     )
     def test_random_compound_matches_sqlite(self, ls, rs, op, ordered,
                                             desc, limit):
-        from repro.bench.differential import load_sqlite, run_differential, rows_equal
+        from repro.backends import load_sqlite
+        from repro.backends.rows import rows_equal
+        from repro.bench.differential import run_differential
 
         db = connect()
         db.register("t", {"a": np.array(ls, dtype=np.int64)})

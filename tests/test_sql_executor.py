@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import connect
+from repro.backends import get_backend
 from repro.errors import SQLBindError, SQLExecutionError, UnsupportedFeatureError
 from repro.sqlengine import EngineConfig
 
@@ -313,10 +314,10 @@ class TestCTEsValuesWindows:
 
 
 class TestEngineModes:
-    @pytest.mark.parametrize("mode", ["compiled", "vectorized"])
+    @pytest.mark.parametrize("profile", ["duckdb", "hyper", "lingodb"])
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_modes_agree(self, db, mode, threads):
-        config = EngineConfig(mode=mode, threads=threads, morsel_size=2)
+    def test_modes_agree(self, db, profile, threads):
+        config = get_backend(profile).config(threads=threads)
         out = db.execute(
             "SELECT b, SUM(a * c) AS s FROM t WHERE a > 1 GROUP BY b ORDER BY b",
             config=config)

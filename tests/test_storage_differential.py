@@ -56,7 +56,7 @@ def test_tpch_from_store_matches_sqlite(q, scenario, threads, stored_db):
 def test_agg_budget_actually_spills_q1(stored_db):
     """The ``agg`` scenario must exercise the aggregate spill path."""
     sql = QUERIES[1].sql("duckdb", level="O4", db=stored_db)
-    trace = stored_db.explain(sql, config=EngineConfig(
+    trace = stored_db.explain_analyze(sql, EngineConfig(
         memory_budget=AGG_BUDGET))
     assert "spill: hash aggregate" in trace
     assert "spill: hash join" not in trace
@@ -65,7 +65,7 @@ def test_agg_budget_actually_spills_q1(stored_db):
 def test_low_budget_actually_spills_q9_joins(stored_db):
     """The ``low`` scenario must exercise the join spill path."""
     sql = QUERIES[9].sql("duckdb", level="O4", db=stored_db)
-    trace = stored_db.explain(sql, config=EngineConfig(
+    trace = stored_db.explain_analyze(sql, EngineConfig(
         memory_budget=LOW_BUDGET))
     assert "spill: hash join" in trace
     assert "spill: hash aggregate" in trace

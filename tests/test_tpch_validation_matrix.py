@@ -41,21 +41,6 @@ def test_intermediate_levels_on_subquery_heavy_queries(q, level, tpch_db, tpch_f
     compare(py, res, q in SCALAR_QUERIES)
 
 
-@pytest.mark.parametrize("q", [1, 6, 13])
-def test_duckdb_small_morsels(q, tpch_db, tpch_frames):
-    """Vectorized mode with an unusually small morsel size must still agree."""
-    from dataclasses import replace
-
-    from repro.backends import DuckDBSim
-
-    fn = QUERIES[q]
-    py = fn(*[tpch_frames[t] for t in QUERY_TABLES[q]])
-    sql = fn.sql("duckdb", db=tpch_db)
-    config = replace(DuckDBSim.config(), morsel_size=7)
-    res = tpch_db.execute(sql, config=config)
-    compare(py, res, q in SCALAR_QUERIES)
-
-
 def test_sql_is_deterministic_across_calls(tpch_db):
     first = QUERIES[9].sql("hyper", db=tpch_db)
     second = QUERIES[9].sql("hyper", db=tpch_db)

@@ -7,6 +7,7 @@ import repro.dataframe as rpd
 from repro import connect
 from repro.backends import DuckDBSim, HyperSim, LingoDBSim, available_backends, get_backend
 from repro.errors import BackendError, UnsupportedFeatureError
+from repro.sqlengine import EngineConfig
 from repro.workloads import WORKLOADS
 from repro.workloads.covariance import (
     covariance_dense, covariance_sparse, dense_table, make_matrix,
@@ -123,9 +124,13 @@ class TestBackendProfiles:
             get_backend("oracle")
 
     def test_execution_paradigms(self):
-        assert DuckDBSim.engine_config.mode == "vectorized"
-        assert HyperSim.engine_config.mode == "compiled"
-        assert LingoDBSim.engine_config.mode == "compiled"
+        # Each simulated system is a preset: the default engine plus the
+        # knobs its paradigm changes.
+        assert DuckDBSim.engine_config == EngineConfig(name="duckdb",
+                                                       join_reorder=False)
+        assert HyperSim.engine_config == EngineConfig(name="hyper")
+        assert LingoDBSim.engine_config == EngineConfig(name="lingodb",
+                                                        supports_window=False)
 
     def test_duckdb_keeps_syntactic_join_order(self):
         assert not DuckDBSim.engine_config.join_reorder
