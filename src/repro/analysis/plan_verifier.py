@@ -58,10 +58,12 @@ from ..sqlengine.sqlast import (
     ValuesClause,
     WindowCall,
     WindowFrame,
+    output_name,
+    walk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Any, Iterable, Iterator, NoReturn
+    from typing import Any, Iterable, NoReturn
 
     from ..sqlengine.catalog import Catalog
     from ..sqlengine.executor import EngineConfig
@@ -236,40 +238,6 @@ def _expr_kind(expr: Expr, cols: list[ColInfo]) -> tuple[Optional[str], bool]:
             return _expr_kind(expr.args[0], cols)[0], True
         return None, True
     return None, True
-
-
-def _walk_exprs(expr: Expr) -> "Iterator[Expr]":
-    """Yield *expr* and every sub-expression, excluding subquery bodies."""
-    yield expr
-    children: list[Expr] = []
-    if isinstance(expr, BinaryOp):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, UnaryOp):
-        children = [expr.operand]
-    elif isinstance(expr, (FuncCall,)):
-        children = list(expr.args)
-    elif isinstance(expr, AggCall):
-        children = [expr.arg] if expr.arg is not None else []
-    elif isinstance(expr, WindowCall):
-        children = list(expr.args) + list(expr.partition_by) + \
-            [o.expr for o in expr.order_by]
-    elif isinstance(expr, CaseExpr):
-        for cond, value in expr.branches:
-            children.extend((cond, value))
-        if expr.default is not None:
-            children.append(expr.default)
-    elif isinstance(expr, CastExpr):
-        children = [expr.operand]
-    elif isinstance(expr, BetweenExpr):
-        children = [expr.operand, expr.low, expr.high]
-    elif isinstance(expr, (IsNull, LikeExpr)):
-        children = [expr.operand]
-    elif isinstance(expr, (InList,)):
-        children = [expr.operand] + list(expr.items)
-    elif isinstance(expr, InSubquery):
-        children = [expr.operand]
-    for child in children:
-        yield from _walk_exprs(child)
 
 
 EnvSchemas = Optional[dict]
@@ -805,14 +773,6 @@ class _Verifier:
         return items
 
     @staticmethod
-    def _output_name(item: SelectItem, position: int) -> str:
-        if item.alias is not None:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.name
-        return f"col{position}"
-
-    @staticmethod
     def _all_direct(rel: _RelInfo) -> bool:
         """Mirror of the planner's admission-check precondition: kinds are
         planner-grade only when every input relation is a base catalog
@@ -853,14 +813,14 @@ class _Verifier:
         for i, it in enumerate(items):
             kind, nullable = _expr_kind(it.expr, rel.cols)
             _, direct = self._planner_kind(it.expr, rel.cols, all_direct)
-            cols.append(ColInfo(self._output_name(it, i), None, kind,
+            cols.append(ColInfo(output_name(it, i), None, kind,
                                 nullable, direct=direct))
         return _RelInfo(cols, opaque=rel.opaque)
 
     def visit_Project(self, op: p.Project, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
         for item in op.select.items:
-            for sub in _walk_exprs(item.expr):
+            for sub in walk(item.expr):
                 if isinstance(sub, WindowCall) and \
                         id(sub) not in rel.window_ids:
                     self.fail("window.placement",
@@ -878,7 +838,7 @@ class _Verifier:
         self.check_mark_refs(all_exprs, rel.cols, path)
         all_direct = self._all_direct(rel)
         for expr in all_exprs:
-            for sub in _walk_exprs(expr):
+            for sub in walk(expr):
                 if isinstance(sub, WindowCall):
                     self.fail("window.in-aggregate",
                               f"window function {sub.func} inside a "

@@ -63,17 +63,10 @@ from ..sqlengine.params import bind_parameters, signature_of
 from ..sqlengine.parser import parse
 from ..sqlengine.sqlast import (
     AggCall,
-    BetweenExpr,
-    BinaryOp,
-    CaseExpr,
-    CastExpr,
     ColumnRef,
     ExistsExpr,
     FuncCall,
-    InList,
     InSubquery,
-    IsNull,
-    LikeExpr,
     Literal,
     OrderItem,
     Query,
@@ -81,8 +74,10 @@ from ..sqlengine.sqlast import (
     Select,
     SelectItem,
     TableRef,
-    UnaryOp,
     WindowCall,
+    clause_exprs,
+    output_name,
+    walk,
 )
 from ..sqlengine.table import Chunk
 from ..sqlengine.topk import topk_positions
@@ -93,6 +88,7 @@ from .wire import exception_for
 __all__ = ["ShardedDatabase", "ShardPool", "ShardQuery", "analyze_shard_query"]
 
 _MERGEABLE_AGGS = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
+_FORBIDDEN = (InSubquery, ExistsExpr, ScalarSubquery, WindowCall)
 # Top-K scatter ships up to k rows per worker; beyond this the gather is a
 # full materialization and serial execution is the honest path.
 _MAX_TOPK_LIMIT = 1_000_000
@@ -117,59 +113,6 @@ class ShardQuery:
     order_cols: list[tuple[str, bool]] = field(default_factory=list)  # topk
     limit: int | None = None
     names: list[str] = field(default_factory=list)
-
-
-def _iter_exprs(expr):
-    """Yield every expression node reachable from *expr* without entering
-    subquery bodies (their mere presence disqualifies sharding)."""
-    if expr is None:
-        return
-    yield expr
-    if isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, (FuncCall,)):
-        children = tuple(expr.args)
-    elif isinstance(expr, AggCall):
-        children = (expr.arg,) if expr.arg is not None else ()
-    elif isinstance(expr, WindowCall):
-        children = tuple(expr.args) + tuple(expr.partition_by)
-    elif isinstance(expr, CaseExpr):
-        children = tuple(e for c, v in expr.branches for e in (c, v))
-        if expr.default is not None:
-            children += (expr.default,)
-    elif isinstance(expr, CastExpr):
-        children = (expr.operand,)
-    elif isinstance(expr, BetweenExpr):
-        children = (expr.operand, expr.low, expr.high)
-    elif isinstance(expr, (IsNull, LikeExpr, InList)):
-        children = (expr.operand,)
-        if isinstance(expr, InList):
-            children += tuple(expr.items)
-    else:
-        children = ()
-    for child in children:
-        yield from _iter_exprs(child)
-
-
-def _has_forbidden(exprs) -> bool:
-    for root in exprs:
-        for node in _iter_exprs(root):
-            if isinstance(node, (InSubquery, ExistsExpr, ScalarSubquery,
-                                 WindowCall)):
-                return True
-    return False
-
-
-def _output_name(item: SelectItem, position: int) -> str:
-    # Mirrors Executor._output_name so gathered columns line up with what
-    # the serial path would have called them.
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, ColumnRef):
-        return item.expr.name
-    return f"col{position}"
 
 
 def _expr_key(expr) -> str:
@@ -205,8 +148,7 @@ def _inline_single_cte(query: Query) -> Select | None:
         return None
     if inner.order_by or inner.limit is not None:
         return None
-    cte_cols = cte.column_names or [_output_name(it, i)
-                                    for i, it in enumerate(inner.items)]
+    cte_cols = cte.column_names or [output_name(it, i) for i, it in enumerate(inner.items)]
     if len(cte_cols) != len(inner.items):
         return None
     binding = rel.alias or rel.name
@@ -220,7 +162,7 @@ def _inline_single_cte(query: Query) -> Select | None:
         if expr.name not in cte_cols:
             return None
         src = inner.items[cte_cols.index(expr.name)]
-        items.append(SelectItem(expr=src.expr, alias=_output_name(item, pos)))
+        items.append(SelectItem(expr=src.expr, alias=output_name(item, pos)))
     order_by: list[OrderItem] = []
     for oi in outer.order_by:
         expr = oi.expr
@@ -294,17 +236,12 @@ def analyze_shard_query(query: Query, stored: dict) -> ShardQuery | None:
     if sum(1 for r in refs if r.name == shard_ref.name) != 1:
         return None  # self-join on the shard table: rows would pair twice
 
-    roots = [it.expr for it in select.items]
-    roots += [j.condition for j in select.joins if j.condition is not None]
-    roots += list(select.group_by)
-    roots += [o.expr for o in select.order_by]
-    if select.where is not None:
-        roots.append(select.where)
-    if _has_forbidden(roots):
+    # A subquery or window anywhere disqualifies the scatter.
+    if any(isinstance(n, _FORBIDDEN) for e in clause_exprs(select) for n in walk(e)):
         return None
 
     group_keys = [_expr_key(g) for g in select.group_by]
-    names = [_output_name(it, i) for i, it in enumerate(select.items)]
+    names = [output_name(it, i) for i, it in enumerate(select.items)]
 
     items: list[tuple[str, int]] = []
     agg_funcs: list[str] = []
@@ -328,7 +265,7 @@ def analyze_shard_query(query: Query, stored: dict) -> ShardQuery | None:
         if key in group_keys:
             items.append(("key", group_keys.index(key)))
             continue
-        if any(isinstance(n, AggCall) for n in _iter_exprs(expr)):
+        if any(isinstance(n, AggCall) for n in walk(expr)):
             return None  # expression over aggregates: no partial form (yet)
         if not select.group_by and not has_agg:
             break  # plain projection: consider the Top-K path below

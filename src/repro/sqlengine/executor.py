@@ -40,7 +40,7 @@ from .planner import (
 )
 from .sqlast import (
     AggCall, BinaryOp, ColumnRef, CompoundSelect, Expr, Query, Select,
-    SelectItem, Star, TableRef, ValuesClause, WindowCall,
+    SelectItem, Star, TableRef, ValuesClause, output_name,
 )
 from .table import Chunk
 
@@ -248,13 +248,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Projection
     # ------------------------------------------------------------------
-    def _output_name(self, item: SelectItem, position: int) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.name
-        return f"col{position}"
-
     def _expand_items(self, select: Select, chunk: Chunk, scope: Scope) -> list[SelectItem]:
         items: list[SelectItem] = []
         for item in select.items:
@@ -273,7 +266,7 @@ class Executor:
 
     def _project_plain(self, select: Select, chunk: Chunk, scope: Scope, subquery_cb, window_values):
         items = self._expand_items(select, chunk, scope)
-        names = [self._output_name(it, i) for i, it in enumerate(items)]
+        names = [output_name(it, i) for i, it in enumerate(items)]
         n = chunk.nrows
         threads = self.config.threads
         params = self.params
@@ -292,51 +285,9 @@ class Executor:
         else:
             evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
                                   params=params)
-            evaluator.precomputed = window_values  # type: ignore[attr-defined]
-            arrays = [self._eval_with_windows(evaluator, it.expr, window_values) for it in items]
+            evaluator.precomputed = window_values
+            arrays = [evaluator.eval_array(it.expr) for it in items]
         return Chunk(names, arrays), evaluator
-
-    def _eval_with_windows(self, evaluator: Evaluator, expr: Expr, window_values) -> np.ndarray:
-        if isinstance(expr, WindowCall):
-            return window_values[id(expr)]
-        if window_values and has_window(expr):
-            # Rebuild expression bottom-up substituting window arrays.
-            import copy
-
-            def substitute(e):
-                if isinstance(e, WindowCall):
-                    marker = ColumnRef(name=f"__win_{id(e)}")
-                    return marker
-                e2 = copy.copy(e)
-                for attr in ("left", "right", "operand", "low", "high"):
-                    child = getattr(e2, attr, None)
-                    if isinstance(child, Expr):
-                        setattr(e2, attr, substitute(child))
-                if getattr(e2, "args", None):
-                    e2.args = [substitute(a) if isinstance(a, Expr) else a for a in e2.args]
-                if getattr(e2, "branches", None):
-                    e2.branches = [(substitute(c), substitute(v)) for c, v in e2.branches]
-                    if e2.default is not None:
-                        e2.default = substitute(e2.default)
-                return e2
-
-            new_expr = substitute(expr)
-            chunk2 = Chunk(
-                list(evaluator.chunk.columns) + [f"__win_{k}" for k in window_values],
-                list(evaluator.chunk.arrays) + list(window_values.values()),
-            )
-            scope2 = Scope()
-            scope2.qualified = dict(evaluator.scope.qualified)
-            scope2.unqualified = dict(evaluator.scope.unqualified)
-            scope2.ambiguous = set(evaluator.scope.ambiguous)
-            base = evaluator.chunk.ncols
-            for i, k in enumerate(window_values):
-                scope2.add(None, f"__win_{k}", base + i)
-            ev2 = Evaluator(chunk2, scope2,
-                            subquery_executor=evaluator.subquery_executor,
-                            params=evaluator.params)
-            return ev2.eval_array(new_expr)
-        return evaluator.eval_array(expr)
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -375,7 +326,7 @@ class Executor:
 
     def _project_grouped(self, select: Select, chunk: Chunk, scope: Scope, subquery_cb, window_values):
         items = self._expand_items(select, chunk, scope)
-        names = [self._output_name(it, i) for i, it in enumerate(items)]
+        names = [output_name(it, i) for i, it in enumerate(items)]
 
         evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
                               params=self.params)

@@ -8,7 +8,7 @@ subquery forms back to the executor through a callback.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .functions import call_function
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, Parameter,
-    ScalarSubquery, Star, UnaryOp, WindowCall,
+    ScalarSubquery, Star, UnaryOp, WindowCall, walk,
 )
 from .table import Chunk
 
@@ -53,104 +53,17 @@ class Scope:
 
 def expr_columns(expr: Expr) -> list[ColumnRef]:
     """All column references in *expr* (excluding subquery bodies)."""
-    out: list[ColumnRef] = []
+    return [e for e in walk(expr) if isinstance(e, ColumnRef)]
 
-    def walk(e) -> None:
-        if isinstance(e, ColumnRef):
-            out.append(e)
-        elif isinstance(e, BinaryOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, FuncCall):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, AggCall):
-            if e.arg is not None:
-                walk(e.arg)
-        elif isinstance(e, CaseExpr):
-            for c, v in e.branches:
-                walk(c)
-                walk(v)
-            if e.default is not None:
-                walk(e.default)
-        elif isinstance(e, CastExpr):
-            walk(e.operand)
-        elif isinstance(e, (InList, InSubquery)):
-            walk(e.operand)
-            if isinstance(e, InList):
-                for item in e.items:
-                    walk(item)
-        elif isinstance(e, BetweenExpr):
-            walk(e.operand)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, (IsNull, LikeExpr)):
-            walk(e.operand)
-        elif isinstance(e, WindowCall):
-            for a in e.args:
-                walk(a)
-            for p in e.partition_by:
-                walk(p)
-            for o in e.order_by:
-                walk(o.expr)
 
-    walk(expr)
-    return out
+def aggregates_of(expr: Expr) -> Iterator[AggCall]:
+    """Yield every :class:`AggCall` in *expr*: not inside another aggregate,
+    a window call or a subquery body."""
+    return (e for e in walk(expr, (AggCall, WindowCall)) if isinstance(e, AggCall))
 
 
 def contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, AggCall):
-        return True
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, FuncCall):
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, CaseExpr):
-        return (
-            any(contains_aggregate(c) or contains_aggregate(v) for c, v in expr.branches)
-            or (expr.default is not None and contains_aggregate(expr.default))
-        )
-    if isinstance(expr, CastExpr):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, BetweenExpr):
-        return any(contains_aggregate(e) for e in (expr.operand, expr.low, expr.high))
-    if isinstance(expr, (IsNull, LikeExpr)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand)
-    return False
-
-
-def aggregates_of(expr: Expr):
-    """Yield every :class:`AggCall` in *expr* (same traversal as
-    :func:`contains_aggregate`; subquery bodies are not entered)."""
-    if isinstance(expr, AggCall):
-        yield expr
-        return
-    if isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, FuncCall):
-        children = tuple(expr.args)
-    elif isinstance(expr, CaseExpr):
-        children = tuple(e for c, v in expr.branches for e in (c, v))
-        if expr.default is not None:
-            children += (expr.default,)
-    elif isinstance(expr, CastExpr):
-        children = (expr.operand,)
-    elif isinstance(expr, BetweenExpr):
-        children = (expr.operand, expr.low, expr.high)
-    elif isinstance(expr, (IsNull, LikeExpr, InList)):
-        children = (expr.operand,)
-    else:
-        return
-    for child in children:
-        yield from aggregates_of(child)
+    return next(aggregates_of(expr), None) is not None
 
 
 def expr_key(expr: Expr) -> str:
@@ -289,6 +202,9 @@ class Evaluator:
         self.ngroups: int | None = None
         self.group_first: np.ndarray | None = None  # first row position per group
         self.group_key_values: dict[str, np.ndarray] = {}
+        # Window arrays by id(WindowCall), computed by the Window operator
+        # below the projection.
+        self.precomputed: dict[int, np.ndarray] | None = None
 
     @property
     def nrows(self) -> int:
@@ -635,4 +551,7 @@ class Evaluator:
         return ~mask if expr.negated else mask
 
     def _eval_WindowCall(self, expr: WindowCall):
-        raise SQLBindError("window functions are evaluated by the executor")
+        values = self.precomputed.get(id(expr)) if self.precomputed else None
+        if values is None:
+            raise SQLBindError("window functions are evaluated by the executor")
+        return values

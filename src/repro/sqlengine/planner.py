@@ -39,7 +39,7 @@ from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, ColumnRef, CompoundSelect, ExistsExpr,
     Expr, InList, InSubquery, IsNull, LikeExpr, Literal, ScalarSubquery,
     Select, SelectItem, Star, SubqueryRef, TableRef, UnaryOp, ValuesClause,
-    WindowCall,
+    WindowCall, clause_exprs, map_children, output_name, walk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,54 +69,17 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
     return [expr]
 
 
+_SUBQUERY_EXPRS = (InSubquery, ExistsExpr, ScalarSubquery)
+
+
 def has_subquery(expr: Expr) -> bool:
     """Does *expr* contain an IN/EXISTS/scalar subquery anywhere?"""
-    if isinstance(expr, (InSubquery, ExistsExpr, ScalarSubquery)):
-        return True
-    for attr in ("left", "right", "operand", "low", "high", "arg"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and has_subquery(child):
-            return True
-    for attr in ("args", "items"):
-        children = getattr(expr, attr, None)
-        if children:
-            if any(isinstance(c, Expr) and has_subquery(c) for c in children):
-                return True
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            if has_subquery(cond) or has_subquery(value):
-                return True
-        default = getattr(expr, "default", None)
-        if default is not None and has_subquery(default):
-            return True
-    return False
+    return any(isinstance(e, _SUBQUERY_EXPRS) for e in walk(expr))
 
 
 def subqueries_of(expr: Expr) -> Iterator[Select | CompoundSelect]:
     """Yield Select bodies nested in an expression."""
-    if isinstance(expr, (InSubquery, ExistsExpr)):
-        yield expr.query
-    if isinstance(expr, ScalarSubquery):
-        yield expr.query
-    for attr in ("left", "right", "operand", "low", "high", "arg"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr):
-            yield from subqueries_of(child)
-    for attr in ("args", "items"):
-        children = getattr(expr, attr, None)
-        if children:
-            for c in children:
-                if isinstance(c, Expr):
-                    yield from subqueries_of(c)
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            yield from subqueries_of(cond)
-            yield from subqueries_of(value)
-        default = getattr(expr, "default", None)
-        if default is not None:
-            yield from subqueries_of(default)
+    return (e.query for e in walk(expr) if isinstance(e, _SUBQUERY_EXPRS))
 
 
 def match_subquery_form(conj: Expr) -> tuple[str, bool, Expr] | None:
@@ -137,26 +100,8 @@ def match_subquery_form(conj: Expr) -> tuple[str, bool, Expr] | None:
 
 
 def has_window(expr: Expr) -> bool:
-    """Does *expr* contain a window call anywhere (CASE branches and
-    BETWEEN bounds included)?"""
-    if isinstance(expr, WindowCall):
-        return True
-    for attr in ("left", "right", "operand", "low", "high"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and has_window(child):
-            return True
-    children = getattr(expr, "args", None)
-    if children and any(isinstance(c, Expr) and has_window(c) for c in children):
-        return True
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            if has_window(cond) or has_window(value):
-                return True
-        default = getattr(expr, "default", None)
-        if default is not None and has_window(default):
-            return True
-    return False
+    """Does *expr* contain a window call anywhere?"""
+    return any(isinstance(e, WindowCall) for e in walk(expr))
 
 
 def collect_windows(select: Select) -> list[WindowCall]:
@@ -164,36 +109,11 @@ def collect_windows(select: Select) -> list[WindowCall]:
 
     Collected statically so the planner can place one :class:`~.plan.Window`
     operator per plan; the AST nodes double as stable keys (the plan cache
-    keeps the parsed statement alive).
+    keeps the parsed statement alive).  Windows nested inside a window's
+    own arguments are not supported, so the walk stops at each call.
     """
-    calls: list[WindowCall] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, WindowCall):
-            calls.append(e)
-            return  # nested windows inside window args are not supported
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(e, attr, None)
-            if isinstance(child, Expr):
-                walk(child)
-        children = getattr(e, "args", None)
-        if children:
-            for c in children:
-                if isinstance(c, Expr):
-                    walk(c)
-        branches = getattr(e, "branches", None)
-        if branches:
-            for cond, value in branches:
-                walk(cond)
-                walk(value)
-            default = getattr(e, "default", None)
-            if default is not None:
-                walk(default)
-
-    for item in select.items:
-        if not isinstance(item.expr, Star):
-            walk(item.expr)
-    return calls
+    return [e for it in select.items for e in walk(it.expr, (WindowCall,))
+            if isinstance(e, WindowCall)]
 
 
 def collect_needed_columns(select: Select) -> tuple[set, bool]:
@@ -205,39 +125,20 @@ def collect_needed_columns(select: Select) -> tuple[set, bool]:
     """
     refs: set = set()
     star = False
-
-    def walk_expr(e: Expr) -> None:
-        nonlocal star
-        if isinstance(e, Star):
-            star = True
-            return
-        for ref in expr_columns(e):
-            refs.add((ref.table, ref.name))
-        for sub in subqueries_of(e):
-            walk_select(sub)
-
-    def walk_select(s: Select | CompoundSelect) -> None:
-        if isinstance(s, CompoundSelect):
-            walk_select(s.left)
-            walk_select(s.right)
-            for o in s.order_by:
-                walk_expr(o.expr)
-            return
-        for item in s.items:
-            walk_expr(item.expr)
-        if s.where is not None:
-            walk_expr(s.where)
-        for g in s.group_by:
-            walk_expr(g)
-        if s.having is not None:
-            walk_expr(s.having)
-        for o in s.order_by:
-            walk_expr(o.expr)
-        for jc in s.joins:
-            if jc.condition is not None:
-                walk_expr(jc.condition)
-
-    walk_select(select)
+    pending: list[Select | CompoundSelect] = [select]
+    while pending:
+        body = pending.pop()
+        if isinstance(body, CompoundSelect):
+            pending += [body.left, body.right]
+            exprs = [o.expr for o in body.order_by]
+        else:
+            star = star or any(isinstance(it.expr, Star) for it in body.items)
+            exprs = clause_exprs(body)
+        for node in (n for e in exprs for n in walk(e)):
+            if isinstance(node, ColumnRef):
+                refs.add((node.table, node.name))
+            elif isinstance(node, _SUBQUERY_EXPRS):
+                pending.append(node.query)
     return refs, star
 
 
@@ -282,6 +183,20 @@ def _ref_in_frames(ref: ColumnRef, frames: list) -> bool:
         if f.opaque:
             raise _Unanalyzable
     return False
+
+
+def _block_parts(body: Select | CompoundSelect | ValuesClause
+                 ) -> tuple[list[Expr], list[Any]]:
+    """One query block's own expressions, and the bodies nested beside them
+    (compound operands, derived tables).  A compound's ORDER BY names the
+    compound's output columns, so it is no expression of the block."""
+    if isinstance(body, CompoundSelect):
+        return [], [body.left, body.right]
+    if isinstance(body, ValuesClause):
+        return [e for row in body.rows for e in row], []
+    rels = [*body.relations, *(jc.relation for jc in body.joins)]
+    derived = [r.query for r in rels if isinstance(r, SubqueryRef)]
+    return clause_exprs(body), derived
 
 
 def _conjoin(exprs: list[Expr]) -> Expr | None:
@@ -1203,8 +1118,6 @@ class Planner:
         column references.  Returns ``(rewritten, factories)`` where each
         factory wraps the current root in the MarkJoin/ScalarSubqueryScan
         that produces one referenced column."""
-        import copy
-
         factories: list = []
 
         def rewrite(e: Expr) -> Expr:
@@ -1246,22 +1159,7 @@ class Planner:
                                        est_rows=_est_or_default(root.est_rows))
                 )
                 return ColumnRef(name=name)
-            e2 = copy.copy(e)
-            for attr in ("left", "right", "operand", "low", "high"):
-                child = getattr(e2, attr, None)
-                if isinstance(child, Expr):
-                    setattr(e2, attr, rewrite(child))
-            if getattr(e2, "args", None):
-                e2.args = [rewrite(a) if isinstance(a, Expr) else a
-                           for a in e2.args]
-            if getattr(e2, "items", None) and isinstance(e2, InList):
-                e2.items = [rewrite(i) for i in e2.items]
-            if getattr(e2, "branches", None):
-                e2.branches = [(rewrite(c), rewrite(v))
-                               for c, v in e2.branches]
-                if e2.default is not None:
-                    e2.default = rewrite(e2.default)
-            return e2
+            return map_children(e, rewrite)
 
         return rewrite(conj), factories
 
@@ -1393,50 +1291,16 @@ class Planner:
         unqualified name cannot be classified (opaque derived tables,
         unknown relations)."""
         out: list[ColumnRef] = []
-        self._walk_outer_refs(body, env, list(frames), out)
+        self._walk_outer_refs(body, env, frames, out)
         return out
 
-    def _walk_outer_refs(self, body: Select | CompoundSelect,
+    def _walk_outer_refs(self, body: Select | CompoundSelect | ValuesClause,
                          env: dict[str, RelSchema], frames: list,
                          out: list[ColumnRef]) -> None:
-        if isinstance(body, CompoundSelect):
-            self._walk_outer_refs(body.left, env, frames, out)
-            self._walk_outer_refs(body.right, env, frames, out)
-            return  # compound ORDER BY names refer to the compound's output
-        if isinstance(body, ValuesClause):
-            for row in body.rows:
-                for e in row:
-                    self._walk_expr_refs(e, env, frames, out)
-            return
-        frames.append(self._frame_of(body, env))
-        try:
-            for item in body.items:
-                if not isinstance(item.expr, Star):
-                    self._walk_expr_refs(item.expr, env, frames, out)
-            if body.where is not None:
-                self._walk_expr_refs(body.where, env, frames, out)
-            for g in body.group_by:
-                self._walk_expr_refs(g, env, frames, out)
-            if body.having is not None:
-                self._walk_expr_refs(body.having, env, frames, out)
-            for o in body.order_by:
-                self._walk_expr_refs(o.expr, env, frames, out)
-            for jc in body.joins:
-                if jc.condition is not None:
-                    self._walk_expr_refs(jc.condition, env, frames, out)
-            for rel in list(body.relations) + \
-                    [jc.relation for jc in body.joins]:
-                if isinstance(rel, SubqueryRef):
-                    self._walk_outer_refs(rel.query, env, frames, out)
-        finally:
-            frames.pop()
-
-    def _walk_expr_refs(self, expr: Expr, env: dict[str, RelSchema],
-                        frames: list, out: list[ColumnRef]) -> None:
-        for ref in expr_columns(expr):
-            if not _ref_in_frames(ref, frames):
-                out.append(ref)
-        for sub in subqueries_of(expr):
+        exprs, nested = _block_parts(body)
+        frames = [*frames, self._frame_of(body, env)] if isinstance(body, Select) else frames
+        out += [r for e in exprs for r in expr_columns(e) if not _ref_in_frames(r, frames)]
+        for sub in [*nested, *(q for e in exprs for q in subqueries_of(e))]:
             self._walk_outer_refs(sub, env, frames, out)
 
     def _expr_side(self, expr: Expr, env: dict[str, RelSchema],
@@ -1482,25 +1346,13 @@ class Planner:
     # -- output schema -------------------------------------------------------
     def _output_columns(self, select: Select, acc_columns: list[str],
                         binding_columns: dict[str, list[str]]) -> list[str]:
-        expanded: list[tuple[Expr | None, str | None]] = []
-        for item in select.items:
-            if isinstance(item.expr, Star):
-                if item.expr.table is not None:
-                    owned = set(binding_columns.get(item.expr.table, []))
-                    for col in acc_columns:
-                        if col in owned:
-                            expanded.append((None, col))
-                else:
-                    for col in acc_columns:
-                        expanded.append((None, col))
-            else:
-                expanded.append((item.expr, item.alias))
         names: list[str] = []
-        for i, (expr, alias) in enumerate(expanded):
-            if alias:
-                names.append(alias)
-            elif isinstance(expr, ColumnRef):
-                names.append(expr.name)
+        for item in select.items:
+            if not isinstance(item.expr, Star):
+                names.append(output_name(item, len(names)))
+            elif item.expr.table is not None:
+                owned = set(binding_columns.get(item.expr.table, []))
+                names += [col for col in acc_columns if col in owned]
             else:
-                names.append(f"col{i}")
+                names += acc_columns
         return names

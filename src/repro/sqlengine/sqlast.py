@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import copy
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
     "Expr", "Literal", "Parameter", "ColumnRef", "Star", "BinaryOp", "UnaryOp", "FuncCall",
@@ -12,12 +13,21 @@ __all__ = [
     "WindowFrame",
     "TableRef", "SubqueryRef", "JoinClause", "SelectItem", "OrderItem",
     "Select", "CompoundSelect", "SelectBody", "ValuesClause", "WithQuery",
-    "Query",
+    "Query", "children", "map_children", "walk", "walk_query", "clause_exprs",
+    "output_name",
 ]
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    Every AST node class names, in ``_child_fields``, the fields that can
+    hold other nodes, in dataclass field order; :func:`children`,
+    :func:`map_children`, :func:`walk` and :func:`walk_query` read nothing
+    else.  A new node or field is traversed once it is listed there.
+    """
+
+    _child_fields: tuple[str, ...] = ()
 
 
 @dataclass
@@ -71,11 +81,15 @@ class BinaryOp(Expr):
     left: Expr
     right: Expr
 
+    _child_fields = ("left", "right")
+
 
 @dataclass
 class UnaryOp(Expr):
     op: str  # NOT, -
     operand: Expr
+
+    _child_fields = ("operand",)
 
 
 @dataclass
@@ -83,12 +97,16 @@ class FuncCall(Expr):
     name: str
     args: list[Expr]
 
+    _child_fields = ("args",)
+
 
 @dataclass
 class AggCall(Expr):
     func: str  # SUM MIN MAX AVG COUNT
     arg: Optional[Expr]  # None for COUNT(*)
     distinct: bool = False
+
+    _child_fields = ("arg",)
 
 
 @dataclass
@@ -123,17 +141,23 @@ class WindowCall(Expr):
     args: list[Expr] = field(default_factory=list)
     frame: Optional[WindowFrame] = None
 
+    _child_fields = ("partition_by", "order_by", "args")
+
 
 @dataclass
 class CaseExpr(Expr):
     branches: list[tuple[Expr, Expr]]  # (condition, value)
     default: Optional[Expr]
 
+    _child_fields = ("branches", "default")
+
 
 @dataclass
 class CastExpr(Expr):
     operand: Expr
     type_name: str
+
+    _child_fields = ("operand",)
 
 
 @dataclass
@@ -142,6 +166,8 @@ class InList(Expr):
     items: list[Expr]
     negated: bool = False
 
+    _child_fields = ("operand", "items")
+
 
 @dataclass
 class InSubquery(Expr):
@@ -149,16 +175,22 @@ class InSubquery(Expr):
     query: "Select"
     negated: bool = False
 
+    _child_fields = ("operand", "query")
+
 
 @dataclass
 class ExistsExpr(Expr):
     query: "Select"
     negated: bool = False
 
+    _child_fields = ("query",)
+
 
 @dataclass
 class ScalarSubquery(Expr):
     query: "Select"
+
+    _child_fields = ("query",)
 
 
 @dataclass
@@ -168,11 +200,15 @@ class BetweenExpr(Expr):
     high: Expr
     negated: bool = False
 
+    _child_fields = ("operand", "low", "high")
+
 
 @dataclass
 class IsNull(Expr):
     operand: Expr
     negated: bool = False
+
+    _child_fields = ("operand",)
 
 
 @dataclass
@@ -191,6 +227,8 @@ class LikeExpr(Expr):
     negated: bool = False
     escape: Optional[str] = None
 
+    _child_fields = ("operand", "pattern")
+
 
 # ---------------------------------------------------------------------------
 # Relations
@@ -200,6 +238,8 @@ class LikeExpr(Expr):
 class TableRef:
     name: str
     alias: Optional[str] = None
+
+    _child_fields = ()
 
     @property
     def binding(self) -> str:
@@ -212,6 +252,8 @@ class SubqueryRef:
     alias: str
     column_names: Optional[list[str]] = None
 
+    _child_fields = ("query",)
+
     @property
     def binding(self) -> str:
         return self.alias
@@ -223,17 +265,23 @@ class JoinClause:
     relation: Union[TableRef, SubqueryRef]
     condition: Optional[Expr]
 
+    _child_fields = ("relation", "condition")
+
 
 @dataclass
 class SelectItem:
     expr: Expr
     alias: Optional[str] = None
 
+    _child_fields = ("expr",)
+
 
 @dataclass
 class OrderItem:
     expr: Expr
     ascending: bool = True
+
+    _child_fields = ("expr",)
 
 
 @dataclass
@@ -247,6 +295,9 @@ class Select:
     order_by: list[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     distinct: bool = False
+
+    _child_fields = ("items", "relations", "joins", "where", "group_by",
+                     "having", "order_by")
 
 
 @dataclass
@@ -268,6 +319,8 @@ class CompoundSelect:
     order_by: list[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
 
+    _child_fields = ("left", "right", "order_by")
+
 
 # A query body: either a plain SELECT or a tree of set operations.
 SelectBody = Union[Select, CompoundSelect]
@@ -277,12 +330,16 @@ SelectBody = Union[Select, CompoundSelect]
 class ValuesClause:
     rows: list[list[Expr]]
 
+    _child_fields = ("rows",)
+
 
 @dataclass
 class WithQuery:
     name: str
     column_names: Optional[list[str]]
     query: Union[Select, CompoundSelect, ValuesClause]
+
+    _child_fields = ("query",)
 
 
 @dataclass
@@ -292,3 +349,109 @@ class Query:
 
     ctes: list[WithQuery]
     body: SelectBody
+
+    _child_fields = ("ctes", "body")
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+def children(expr: Expr) -> list[Expr]:
+    """The direct expression children of *expr*, in field order.
+
+    Subquery bodies are never entered: an ``InSubquery`` yields only its
+    operand, and ``EXISTS``/scalar subqueries have no children.  A ``LIKE``
+    pattern is a child when it is a :class:`Parameter`.
+    """
+    out: list[Expr] = []
+    for name in expr._child_fields:
+        value = getattr(expr, name)
+        if isinstance(value, Expr):
+            out.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, Expr):
+                    out.append(item)
+                elif isinstance(item, OrderItem):
+                    out.append(item.expr)
+                else:  # a CASE (condition, value) branch
+                    out.extend(item)
+    return out
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """A shallow copy of *expr* whose every child (as :func:`children`
+    yields them) is replaced by ``fn(child)``."""
+    out = copy.copy(expr)
+    for name in expr._child_fields:
+        value = getattr(expr, name)
+        if isinstance(value, Expr):
+            setattr(out, name, fn(value))
+        elif isinstance(value, list):
+            setattr(out, name, [
+                fn(item) if isinstance(item, Expr)
+                else replace(item, expr=fn(item.expr)) if isinstance(item, OrderItem)
+                else tuple(fn(e) for e in item)
+                for item in value
+            ])
+    return out
+
+
+def walk(expr: Expr, stop: tuple[type, ...] = ()) -> Iterator[Expr]:
+    """Pre-order over *expr* and its descendants, subquery bodies excluded.
+
+    Nodes whose type is in *stop* are yielded but not descended into.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node._child_fields and not isinstance(node, stop):
+            stack += reversed(children(node))
+
+
+def walk_query(node: object) -> Iterator[object]:
+    """Pre-order over every expression and clause node of a statement, in
+    field order: CTEs, derived tables, VALUES rows and subquery bodies
+    included."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        found: list[object] = []
+        for name in node._child_fields:
+            value = getattr(node, name)
+            if isinstance(value, list):
+                for item in value:  # VALUES rows and CASE branches nest once
+                    if isinstance(item, (list, tuple)):
+                        found.extend(item)
+                    else:
+                        found.append(item)
+            elif value is not None and not isinstance(value, str):
+                found.append(value)
+        stack.extend(reversed(found))
+
+
+def clause_exprs(select: Select) -> list[Expr]:
+    """The top-level expressions of one SELECT: the non-star items, join
+    conditions, WHERE, GROUP BY, HAVING and ORDER BY, in that order."""
+    exprs = [it.expr for it in select.items if not isinstance(it.expr, Star)]
+    exprs += [jc.condition for jc in select.joins if jc.condition is not None]
+    if select.where is not None:
+        exprs.append(select.where)
+    exprs += select.group_by
+    if select.having is not None:
+        exprs.append(select.having)
+    exprs += [o.expr for o in select.order_by]
+    return exprs
+
+
+def output_name(item: SelectItem, position: int) -> str:
+    """A result column's name: the alias, else a bare column's name, else
+    ``col<position>``."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ColumnRef):
+        return item.expr.name
+    return f"col{position}"

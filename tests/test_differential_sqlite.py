@@ -147,6 +147,9 @@ CORPUS = [
     "SELECT id FROM sales WHERE note LIKE NULL",
     "SELECT id FROM sales WHERE note NOT LIKE 'o%'",
     "SELECT id FROM sales WHERE note NOT LIKE 'l_te' AND qty > 15",
+    # global aggregates inside an IN-list still make the query grouped
+    "SELECT 5 IN (COUNT(*), 1) AS f FROM sales",
+    "SELECT CASE WHEN 1 IN (0, MAX(qty) - 18) THEN 1 ELSE 0 END AS f FROM sales",
 ]
 
 
@@ -312,6 +315,12 @@ WINDOW_CORPUS = [
     "SELECT t.cust, t.rn FROM (SELECT cust, ROW_NUMBER() OVER "
     "(PARTITION BY cust ORDER BY amt DESC, id) AS rn FROM sales) AS t "
     "WHERE t.rn = 1",
+    # window calls inside an IN-list (LAG's default keeps the projected IN
+    # free of NULL items, whose UNKNOWN the engine reports as false)
+    "SELECT qty, qty IN (LAG(qty, 1, 0) OVER (ORDER BY qty) + 1, 0) AS f "
+    "FROM sales",
+    "SELECT qty, CASE WHEN qty IN (ROW_NUMBER() OVER (ORDER BY qty, id) - 4) "
+    "THEN 1 ELSE 0 END AS f FROM sales",
 ]
 
 

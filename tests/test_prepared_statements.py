@@ -58,6 +58,14 @@ class TestPlaceholderParsing:
         )
         assert signature_of(q).positional == 2
 
+    def test_named_parameters_in_source_order_across_bodies(self):
+        q = parse(
+            "WITH c AS (SELECT a FROM t WHERE x > :a) "
+            "SELECT :b FROM (SELECT b FROM u WHERE w > :c) AS s "
+            "JOIN c ON c.a = :d WHERE :e IN (SELECT b FROM u WHERE w = :f)"
+        )
+        assert signature_of(q).names == ("a", "b", "c", "d", "e", "f")
+
     def test_parameter_in_select_list_and_in_list(self):
         q = parse("SELECT a + ? FROM t WHERE b IN (?, ?, 3)")
         assert signature_of(q).positional == 3

@@ -1,15 +1,20 @@
-"""Unit tests for the SQL lexer and parser."""
+"""Unit tests for the SQL lexer, parser and AST traversal."""
+
+import dataclasses
+import typing
 
 import numpy as np
 import pytest
 
 from repro.errors import SQLSyntaxError
+from repro.sqlengine import sqlast
 from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.parser import parse, parse_expression
 from repro.sqlengine.sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef,
-    CompoundSelect, ExistsExpr, FuncCall, InList, InSubquery, IsNull,
-    LikeExpr, Literal, ScalarSubquery, Select, Star, WindowCall,
+    CompoundSelect, ExistsExpr, Expr, FuncCall, InList, InSubquery, IsNull,
+    LikeExpr, Literal, OrderItem, Parameter, ScalarSubquery, Select,
+    SelectItem, Star, WindowCall, children, map_children, walk,
 )
 
 
@@ -356,3 +361,73 @@ class TestLikeParsing:
     def test_escape_requires_single_char(self):
         with pytest.raises(SQLSyntaxError):
             parse_expression("name LIKE 'x' ESCAPE 'ab'")
+
+
+# ---------------------------------------------------------------------------
+# Traversal: ``_child_fields`` is the one definition of a node's children
+# ---------------------------------------------------------------------------
+
+_NODE_CLASSES = [c for c in vars(sqlast).values()
+                 if isinstance(c, type) and dataclasses.is_dataclass(c)
+                 and c.__module__ == sqlast.__name__]
+_EXPR_CLASSES = [c for c in _NODE_CLASSES if issubclass(c, Expr)]
+
+
+def _mentions_node(hint) -> bool:
+    if isinstance(hint, type):
+        return hasattr(hint, "_child_fields")
+    return any(_mentions_node(arg) for arg in typing.get_args(hint))
+
+
+def _filled(hint, expected: list):
+    """A value of type *hint* whose expression parts are fresh nodes; the
+    ones that must be children are appended to *expected* in order."""
+    if hint is Expr or hint is Parameter:
+        node = Parameter(name=f"p{len(expected)}")
+        expected.append(node)
+        return node
+    if hint is OrderItem:
+        return OrderItem(_filled(Expr, expected))
+    if hint is Select:  # a subquery body: never a child
+        return Select(items=[SelectItem(Literal("inside the body"))])
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return [_filled(args[0], expected), _filled(args[0], expected)]
+    if origin is tuple:
+        return tuple(_filled(arg, expected) for arg in args)
+    if origin is typing.Union:
+        nodes = [arg for arg in args if _mentions_node(arg)]
+        return _filled(nodes[0], expected) if nodes else None
+    if hint in (str, bool, int, object):
+        return hint()
+    raise AssertionError(f"no test value for {hint!r}: extend _filled")
+
+
+class TestChildren:
+    @pytest.mark.parametrize("cls", _EXPR_CLASSES, ids=lambda c: c.__name__)
+    def test_children_yields_every_expression_field(self, cls):
+        # Fails when a node or field is added without listing it in the
+        # class's _child_fields (or without teaching _filled its type).
+        expected: list = []
+        hints = typing.get_type_hints(cls)
+        node = cls(**{f.name: _filled(hints[f.name], expected)
+                      for f in dataclasses.fields(cls)})
+        assert [id(c) for c in children(node)] == [id(e) for e in expected]
+        copied = map_children(node, lambda c: Literal(c.name))
+        assert [c.value for c in children(copied)] == [e.name for e in expected]
+
+    @pytest.mark.parametrize("cls", _NODE_CLASSES, ids=lambda c: c.__name__)
+    def test_child_fields_name_every_node_field(self, cls):
+        hints = typing.get_type_hints(cls)
+        node_fields = tuple(f.name for f in dataclasses.fields(cls)
+                            if _mentions_node(hints[f.name]))
+        assert getattr(cls, "_child_fields", ()) == node_fields
+
+    def test_walk_is_preorder_and_never_enters_subqueries(self):
+        expr = parse_expression(
+            "CASE WHEN a IN (b, (SELECT c FROM t)) THEN SUM(d) END")
+        names = [type(e).__name__ for e in walk(expr)]
+        assert names == ["CaseExpr", "InList", "ColumnRef", "ColumnRef",
+                         "ScalarSubquery", "AggCall", "ColumnRef"]
+        assert [type(e).__name__ for e in walk(expr, (AggCall, InList))] == [
+            "CaseExpr", "InList", "AggCall"]
